@@ -21,8 +21,7 @@ from .dynamics import (
     lyapunov_rate,
     mass_monotone,
     mwu_step,
-    rhs_nonsymmetric,
-    rhs_symmetric,
+    rhs,
     time_average,
     write_trajectory_csv,
     write_trajectory_svg,

@@ -22,6 +22,7 @@ import numpy as np
 
 from .content import content_of, content_to_dict
 from .dynamics import (
+    IntegrationError,
     IntegratorConfig,
     integrate,
     write_trajectory_csv,
@@ -335,6 +336,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT
     except SinkUniquenessError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except IntegrationError as exc:
+        print(f"integration failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 
 

@@ -2,19 +2,23 @@
 rates for the sink component, the product-distribution embedding check, and
 multiplicative-weights steps.
 
-The default integrator works in log-coordinates on the support: the state is
-u = log x per player, advanced with classic RK4, and x is recovered by a
-softmax over the support.  Faces of the simplex are then exactly invariant
-(coordinates starting at zero are never represented) and positivity on the
-support is structural.  A direct RK4 on the simplex with per-step
-renormalisation is kept as a cross-check mode.
+Both game modes run through one skew operator on the stacked state z = [x; y]:
+K = [[0, M], [-M^T, 0]] with player blocks starting at 0 and n, and K = M with
+a single block for a symmetric game.  Player payoffs are z K^T, and the
+replicator field multiplies them, minus each block's average, by z.
+
+The default integrator advances u = log z with classic RK4 and recovers z by a
+softmax within each block.  Coordinates outside the support are u = log 0 =
+-inf, which the update keeps exactly, so faces of the simplex are invariant and
+starts with different supports batch together.  A direct RK4 on the simplex
+with per-step renormalisation is kept as a cross-check mode.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,19 +40,16 @@ class IntegrationError(RuntimeError):
 
 @dataclass(frozen=True)
 class IntegratorConfig:
-    """Fixed-step integration parameters.
-
-    mwu_eta is the step size used by multiplicative-weights comparisons; the
-    flow integrator ignores it.
-    """
+    """Fixed-step integration parameters."""
 
     step: float = 0.01
     horizon: float = 200.0
     method: str = "rk4-log"
     renormalize: bool = True
-    mwu_eta: float = 0.01
 
     def __post_init__(self) -> None:
+        if not (math.isfinite(self.step) and math.isfinite(self.horizon)):
+            raise ValueError("step and horizon must be finite")
         if not (self.step > 0):
             raise ValueError("step must be positive")
         if self.step > 0.1:
@@ -59,8 +60,6 @@ class IntegratorConfig:
             raise ValueError("step must be smaller than horizon")
         if self.method not in ("rk4-log", "rk4-direct"):
             raise ValueError(f"unknown method {self.method!r}")
-        if not (self.mwu_eta > 0):
-            raise ValueError("mwu_eta must be positive")
 
     @property
     def steps(self) -> int:
@@ -100,52 +99,58 @@ class Trajectory:
         return self.state(len(self) - 1)
 
 
-def rhs_symmetric(g: Game, x: np.ndarray) -> np.ndarray:
-    """Single-population replicator velocity x_s * (M x)_s."""
-    if not g.symmetric:
-        raise ValueError("rhs_symmetric requires a symmetric game")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (g.n,):
-        raise ValueError("state does not match the game dimensions")
+class _Operator(NamedTuple):
+    """Skew operator of a game on the stacked state of all players."""
+
+    KT: np.ndarray  # K^T, so that payoffs of a (B, N) state Z are Z @ KT
+    starts: np.ndarray  # first coordinate of each player block
+    block: np.ndarray  # block index of each coordinate
+
+
+def _operator(g: Game) -> _Operator:
     M = float_matrix(g)
-    return x * (M @ x)
-
-
-def rhs_nonsymmetric(g: Game, z: MixedProfile) -> tuple[np.ndarray, np.ndarray]:
-    """Two-population replicator velocities at z = (x, y)."""
     if g.symmetric:
-        raise ValueError("rhs_nonsymmetric requires a non-symmetric game")
+        K, starts = M, [0]
+    else:
+        K = np.block([[np.zeros((g.n, g.n)), M], [-M.T, np.zeros((g.m, g.m))]])
+        starts = [0, g.n]
+    sizes = np.diff(starts + [K.shape[0]])
+    return _Operator(K.T, np.array(starts), np.repeat(np.arange(len(starts)), sizes))
+
+
+def _stack(zs: Sequence[MixedProfile]) -> np.ndarray:
+    return np.stack([np.concatenate(z.vectors) for z in zs])
+
+
+def _per_block(op: _Operator, reduce: np.ufunc, A: np.ndarray) -> np.ndarray:
+    """Reduce each row of A within every player block, broadcast back to A's shape."""
+    return reduce.reduceat(A, op.starts, axis=1)[:, op.block]
+
+
+def _softmax(op: _Operator, U: np.ndarray) -> np.ndarray:
+    W = np.exp(U - _per_block(op, np.maximum, U))
+    return W / _per_block(op, np.add, W)
+
+
+def _field(op: _Operator, Z: np.ndarray) -> np.ndarray:
+    P = Z @ op.KT
+    return Z * (P - _per_block(op, np.add, Z * P))
+
+
+def rhs(g: Game, z: MixedProfile) -> tuple[np.ndarray, ...]:
+    """Replicator velocities at z, one vector per player."""
     _check_shape(g, z)
-    M = float_matrix(g)
-    x, y = z.vectors
-    payoff1 = M @ y
-    avg = float(x @ payoff1)
-    dx = x * (payoff1 - avg)
-    payoff2 = M.T @ x
-    dy = -y * (payoff2 - avg)
-    return dx, dy
+    op = _operator(g)
+    return tuple(np.split(_field(op, _stack([z]))[0], op.starts[1:]))
 
 
-def _softmax(U: np.ndarray) -> np.ndarray:
-    W = np.exp(U - U.max(axis=1, keepdims=True))
-    return W / W.sum(axis=1, keepdims=True)
-
-
-def _mass_series(g: Game, states: Sequence[np.ndarray], H: frozenset) -> np.ndarray:
+def _mass_series(g: Game, full: np.ndarray, H: frozenset) -> np.ndarray:
     if g.symmetric:
-        idx = sorted(H)
-        return states[0][..., idx].sum(axis=-1)
+        return full[..., sorted(H)].sum(axis=-1)
     B = np.zeros((g.n, g.m))
     for (i, j) in H:
         B[i, j] = 1.0
-    return np.einsum("tbi,ij,tbj->tb", states[0], B, states[1])
-
-
-def _payoff_series(g: Game, states: Sequence[np.ndarray]) -> np.ndarray:
-    M = float_matrix(g)
-    if g.symmetric:
-        return np.einsum("tbi,ij,tbj->tb", states[0], M, states[0])
-    return np.einsum("tbi,ij,tbj->tb", states[0], M, states[1])
+    return np.einsum("tbi,ij,tbj->tb", full[..., : g.n], B, full[..., g.n :])
 
 
 def integrate(
@@ -165,15 +170,15 @@ def integrate_batch(
     cfg: IntegratorConfig,
     H: Iterable[Profile] | None = None,
 ) -> list[Trajectory]:
-    """Integrate several starts at once; all must share the same exact support."""
+    """Integrate several starts at once as one (B, n+m) state.
+
+    Starts may have different supports: a coordinate that starts at zero is
+    log 0 = -inf in the log method and stays exactly zero in both methods.
+    """
     if not starts:
         raise ValueError("integrate_batch requires at least one start")
     for z in starts:
         _check_shape(g, z)
-    supports = starts[0].support()
-    for z in starts[1:]:
-        if z.support() != supports:
-            raise ValueError("batched starts must share the same support pattern")
     Hset = None
     if H is not None:
         Hset = frozenset(H)
@@ -181,131 +186,75 @@ def integrate_batch(
             if not g.contains_profile(p):
                 raise ValueError(f"{p!r} is not a profile of this game")
 
-    nplayers = 1 if g.symmetric else 2
-    nsteps = cfg.steps
-    B = len(starts)
-    times = np.arange(nsteps + 1) * cfg.step
-
-    X0 = [
-        np.stack([z.vectors[i] for z in starts]) for i in range(nplayers)
-    ]  # (B, n_i)
-    if cfg.method == "rk4-log":
-        full = _run_log(g, X0, supports, cfg, nsteps)
-    else:
-        full = _run_direct(g, X0, cfg, nsteps)
-
-    payoff = _payoff_series(g, full)
+    op = _operator(g)
+    run = _run_log if cfg.method == "rk4-log" else _run_direct
+    full = run(op, _stack(starts), cfg)  # (samples, B, n+m)
+    times = np.arange(cfg.steps + 1) * cfg.step
+    # x M y over the first and last blocks; both are x for a symmetric game.
+    payoff = np.einsum("tbi,ij,tbj->tb", full[..., : g.n], float_matrix(g), full[..., -g.m :])
     mass = dist = None
     if Hset is not None:
         mass = _mass_series(g, full, Hset)
         dist = 1.0 - mass
 
-    out = []
-    for b in range(B):
-        out.append(
-            Trajectory(
-                times=times.copy(),
-                states=tuple(full[i][:, b, :] for i in range(nplayers)),
-                payoff=payoff[:, b],
-                mass=None if mass is None else mass[:, b],
-                dist=None if dist is None else dist[:, b],
-            )
+    return [
+        Trajectory(
+            times=times.copy(),
+            states=tuple(np.split(full[:, b, :], op.starts[1:], axis=1)),
+            payoff=payoff[:, b],
+            mass=None if mass is None else mass[:, b],
+            dist=None if dist is None else dist[:, b],
         )
+        for b in range(len(starts))
+    ]
+
+
+def _run_log(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+    nsteps, h = cfg.steps, cfg.step
+    on = Z0 > 0
+    with np.errstate(divide="ignore"):
+        U = np.log(Z0)
+    out = np.empty((nsteps + 1,) + Z0.shape)
+    out[0] = Z0  # keep the exact start
+    Z = _softmax(op, U)
+    for k in range(nsteps):
+        K1 = Z @ op.KT
+        K2 = _softmax(op, U + 0.5 * h * K1) @ op.KT
+        K3 = _softmax(op, U + 0.5 * h * K2) @ op.KT
+        K4 = _softmax(op, U + h * K3) @ op.KT
+        U = U + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+        # Softmax is shift invariant within a block.
+        U -= _per_block(op, np.maximum, U)
+        if not np.all(np.where(on, np.isfinite(U), U == -np.inf)):
+            raise IntegrationError(
+                f"non-finite state at step {k + 1} (t = {(k + 1) * h:g})"
+            )
+        Z = out[k + 1] = _softmax(op, U)
     return out
 
 
-def _run_log(
-    g: Game,
-    X0: list[np.ndarray],
-    supports: tuple[tuple[int, ...], ...],
-    cfg: IntegratorConfig,
-    nsteps: int,
-) -> list[np.ndarray]:
-    nplayers = len(X0)
-    B = X0[0].shape[0]
-    sizes = [x.shape[1] for x in X0]
-    sup = [np.array(s, dtype=int) for s in supports]
-    M = float_matrix(g)
-    if g.symmetric:
-        A = M[np.ix_(sup[0], sup[0])]
-
-        def rates(xc: list[np.ndarray]) -> list[np.ndarray]:
-            return [xc[0] @ A.T]
-
-    else:
-        A = M[np.ix_(sup[0], sup[1])]
-
-        def rates(xc: list[np.ndarray]) -> list[np.ndarray]:
-            return [xc[1] @ A.T, -(xc[0] @ A)]
-
-    U = [np.log(X0[i][:, sup[i]]) for i in range(nplayers)]
-    out = [np.zeros((nsteps + 1, B, sizes[i])) for i in range(nplayers)]
-    Xc = [_softmax(u) for u in U]
-    for i in range(nplayers):
-        out[i][0][:, sup[i]] = X0[i][:, sup[i]]  # keep the exact start
-
-    h = cfg.step
+def _run_direct(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+    nsteps, h = cfg.steps, cfg.step
+    out = np.empty((nsteps + 1,) + Z0.shape)
+    Z = out[0] = Z0
     for k in range(nsteps):
-        K1 = rates(Xc)
-        K2 = rates([_softmax(U[i] + 0.5 * h * K1[i]) for i in range(nplayers)])
-        K3 = rates([_softmax(U[i] + 0.5 * h * K2[i]) for i in range(nplayers)])
-        K4 = rates([_softmax(U[i] + h * K3[i]) for i in range(nplayers)])
-        for i in range(nplayers):
-            U[i] = U[i] + (h / 6.0) * (K1[i] + 2 * K2[i] + 2 * K3[i] + K4[i])
-            U[i] -= U[i].max(axis=1, keepdims=True)  # softmax is shift invariant
-            if not np.all(np.isfinite(U[i])):
-                raise IntegrationError(
-                    f"non-finite state at step {k + 1} (t = {(k + 1) * h:g})"
-                )
-        Xc = [_softmax(u) for u in U]
-        for i in range(nplayers):
-            out[i][k + 1][:, sup[i]] = Xc[i]
-    return out
-
-
-def _run_direct(
-    g: Game, X0: list[np.ndarray], cfg: IntegratorConfig, nsteps: int
-) -> list[np.ndarray]:
-    nplayers = len(X0)
-    B = X0[0].shape[0]
-    M = float_matrix(g)
-    if g.symmetric:
-
-        def field(xs: list[np.ndarray]) -> list[np.ndarray]:
-            return [xs[0] * (xs[0] @ M.T)]
-
-    else:
-
-        def field(xs: list[np.ndarray]) -> list[np.ndarray]:
-            p1 = xs[1] @ M.T
-            avg = (xs[0] * p1).sum(axis=1, keepdims=True)
-            p2 = xs[0] @ M
-            return [xs[0] * (p1 - avg), -xs[1] * (p2 - avg)]
-
-    X = [x.copy() for x in X0]
-    out = [np.zeros((nsteps + 1, B, x.shape[1])) for x in X0]
-    for i in range(nplayers):
-        out[i][0] = X[i]
-    h = cfg.step
-    for k in range(nsteps):
-        K1 = field(X)
-        K2 = field([X[i] + 0.5 * h * K1[i] for i in range(nplayers)])
-        K3 = field([X[i] + 0.5 * h * K2[i] for i in range(nplayers)])
-        K4 = field([X[i] + h * K3[i] for i in range(nplayers)])
-        for i in range(nplayers):
-            X[i] = X[i] + (h / 6.0) * (K1[i] + 2 * K2[i] + 2 * K3[i] + K4[i])
-            if not np.all(np.isfinite(X[i])):
-                raise IntegrationError(
-                    f"non-finite state at step {k + 1} (t = {(k + 1) * h:g})"
-                )
-            if np.any(X[i] < -1e-12):
-                raise IntegrationError(
-                    f"negative coordinate at step {k + 1}; reduce the step size"
-                )
-            if cfg.renormalize:
-                np.clip(X[i], 0.0, None, out=X[i])
-                X[i] /= X[i].sum(axis=1, keepdims=True)
-            out[i][k + 1] = X[i]
+        K1 = _field(op, Z)
+        K2 = _field(op, Z + 0.5 * h * K1)
+        K3 = _field(op, Z + 0.5 * h * K2)
+        K4 = _field(op, Z + h * K3)
+        Z = Z + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+        if not np.all(np.isfinite(Z)):
+            raise IntegrationError(
+                f"non-finite state at step {k + 1} (t = {(k + 1) * h:g})"
+            )
+        if np.any(Z < -1e-12):
+            raise IntegrationError(
+                f"negative coordinate at step {k + 1}; reduce the step size"
+            )
+        if cfg.renormalize:
+            np.clip(Z, 0.0, None, out=Z)
+            Z /= _per_block(op, np.add, Z)
+        out[k + 1] = Z
     return out
 
 
@@ -314,27 +263,19 @@ def lyapunov_rate(g: Game, H: Iterable[Profile], z: MixedProfile) -> float:
 
     H must be the certified sink component of g's preference graph; the rate
     is the weighted cut sum between H and its complement under the product
-    masses of z.
+    masses of z, through M for a symmetric game and the symmetrised matrix
+    otherwise.
     """
     _check_shape(g, z)
     Hset = frozenset(H)
     if Hset != sink_component(build_graph(g)):
         raise ValueError("lyapunov_rate requires the certified sink component of the game")
-    if g.symmetric:
-        inside = sorted(Hset)
-        outside = [s for s in range(g.n) if s not in Hset]
-        if not outside:
-            return 0.0
-        M = float_matrix(g)
-        x = z.vectors[0]
-        return float(x[inside] @ M[np.ix_(inside, outside)] @ x[outside])
-    masses = profile_masses(z)
-    S = sym_float_matrix(g)
-    inside = sorted(p[0] * g.m + p[1] for p in Hset)
-    outside = [k for k in range(g.n * g.m) if k not in set(inside)]
-    if not outside:
+    inside = np.array([p in Hset for p in g.profiles()])
+    if inside.all():
         return 0.0
-    return float(masses[inside] @ S[np.ix_(inside, outside)] @ masses[outside])
+    S = float_matrix(g) if g.symmetric else sym_float_matrix(g)
+    masses = profile_masses(z)
+    return float(masses[inside] @ S[np.ix_(inside, ~inside)] @ masses[~inside])
 
 
 @dataclass(frozen=True)
@@ -350,8 +291,7 @@ def check_embedding(g: Game, z: MixedProfile) -> EmbeddingReport:
     """Compare d/dt (x1 (x) x2) computed two ways at z (non-symmetric games)."""
     if g.symmetric:
         raise ValueError("check_embedding requires a non-symmetric game")
-    _check_shape(g, z)
-    dx, dy = rhs_nonsymmetric(g, z)
+    dx, dy = rhs(g, z)
     x, y = z.vectors
     via_product_rule = (np.outer(dx, y) + np.outer(x, dy)).ravel()
     masses = profile_masses(z)
@@ -366,19 +306,11 @@ def mwu_step(g: Game, z: MixedProfile, eta: float) -> MixedProfile:
     if not (eta > 0):
         raise ValueError("eta must be positive")
     _check_shape(g, z)
-    M = float_matrix(g)
-
-    def update(x: np.ndarray, u: np.ndarray) -> np.ndarray:
-        on = x > 0
-        # Shift by the support maximum before exponentiating; the shift cancels.
-        w = np.where(on, x * np.exp(eta * (u - u[on].max())), 0.0)
-        return w / w.sum()
-
-    if g.symmetric:
-        x = z.vectors[0]
-        return MixedProfile((update(x, M @ x),))
-    x, y = z.vectors
-    return MixedProfile((update(x, M @ y), update(y, -(M.T @ x))))
+    op = _operator(g)
+    Z = _stack([z])
+    with np.errstate(divide="ignore"):
+        W = _softmax(op, np.log(Z) + eta * (Z @ op.KT))[0]
+    return MixedProfile(tuple(np.split(W, op.starts[1:])))
 
 
 def time_average(tr: Trajectory) -> MixedProfile:

@@ -13,9 +13,8 @@ single ``int`` in the symmetric case.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
@@ -67,12 +66,14 @@ class Game:
         symmetric: whether both players share the row strategy set.
         row_labels: names for row strategies.
         col_labels: names for column strategies (same as rows if symmetric).
+        float_view: read-only float copy of matrix, built once; not compared.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
     symmetric: bool
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
+    float_view: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.matrix or not self.matrix[0]:
@@ -101,6 +102,9 @@ class Game:
                         )
             if self.row_labels != self.col_labels:
                 raise GameFormatError("symmetric game has a single label list")
+        view = np.array([[float(v) for v in row] for row in self.matrix])
+        view.setflags(write=False)
+        object.__setattr__(self, "float_view", view)
 
     @property
     def n(self) -> int:
@@ -346,12 +350,9 @@ def _check_shape(g: Game, z: MixedProfile) -> None:
             raise ValueError("mixed profile does not match the game dimensions")
 
 
-@lru_cache(maxsize=256)
 def float_matrix(g: Game) -> np.ndarray:
-    """Float copy of the payoff matrix (read-only, cached)."""
-    arr = np.array([[float(v) for v in row] for row in g.matrix])
-    arr.setflags(write=False)
-    return arr
+    """Float copy of the payoff matrix (read-only, built with the game)."""
+    return g.float_view
 
 
 def expected_payoff(g: Game, z: MixedProfile) -> float:

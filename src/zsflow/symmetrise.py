@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
-from .game import Game, GameFormatError, Profile, weight
+from .game import Game, GameFormatError, Profile, float_matrix, weight
 
 
 @dataclass(frozen=True)
@@ -36,9 +35,13 @@ class SymmetrisedGame:
         return Game(self.matrix, True, labels, labels)
 
 
-def symmetrise(g: Game) -> SymmetrisedGame:
+def _check_nonsymmetric(g: Game) -> None:
     if g.symmetric:
         raise GameFormatError("game is already symmetric; symmetrisation expects non-symmetric input")
+
+
+def symmetrise(g: Game) -> SymmetrisedGame:
+    _check_nonsymmetric(g)
     order = tuple((i, j) for i in range(g.n) for j in range(g.m))
     matrix = tuple(
         tuple(g.matrix[p1][q2] - g.matrix[q1][p2] for (q1, q2) in order)
@@ -47,11 +50,12 @@ def symmetrise(g: Game) -> SymmetrisedGame:
     return SymmetrisedGame(g, matrix, order)
 
 
-@lru_cache(maxsize=256)
 def sym_float_matrix(g: Game) -> np.ndarray:
-    """Float copy of the symmetrised matrix of g (read-only, cached)."""
-    sg = symmetrise(g)
-    arr = np.array([[float(v) for v in row] for row in sg.matrix])
+    """Float symmetrised matrix of g (read-only), broadcast from the float view:
+    S[(i,j),(k,l)] = M[i,l] - M[k,j]."""
+    _check_nonsymmetric(g)
+    M = float_matrix(g)
+    arr = (M[:, None, None, :] - M.T[None, :, :, None]).reshape(g.n * g.m, g.n * g.m)
     arr.setflags(write=False)
     return arr
 

@@ -175,6 +175,25 @@ class TestSimulate:
             assert code == 2, spec
             assert "error:" in err
 
+    def test_non_finite_horizon(self, capsys, games_dir, tmp_path):
+        game = str(games_dir / "matching_pennies.json")
+        for horizon in ("inf", "nan"):
+            code, _, err = run_cli(
+                capsys, "simulate", game, "--horizon", horizon, "--out-dir", str(tmp_path)
+            )
+            assert code == 2, horizon
+            assert "error:" in err
+
+    def test_unstable_direct_run_exits_3(self, capsys, tmp_path):
+        game = tmp_path / "loud.json"
+        game.write_text('{"mode": "non-symmetric", "matrix": [[1000, -1000], [-1000, 1000]]}')
+        code, _, err = run_cli(
+            capsys, "simulate", str(game), "--method", "rk4-direct", "--step", "0.1",
+            "--horizon", "2", "--start", "0.5,0.5;0.9,0.1", "--out-dir", str(tmp_path),
+        )
+        assert code == 3
+        assert err.startswith("integration failed:") and len(err.splitlines()) == 1
+
 
 class TestVerify:
     def test_single_scope_text(self, capsys):

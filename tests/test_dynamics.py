@@ -20,8 +20,7 @@ from zsflow import (
     mwu_step,
     profile_masses,
     pure_profile,
-    rhs_nonsymmetric,
-    rhs_symmetric,
+    rhs,
     sink_component,
     time_average,
     uniform_profile,
@@ -35,19 +34,19 @@ class TestVectorFields:
     def test_rps_edge_point_frozen(self, rps):
         # At x = (1/2, 1/2, 0): (Mx)_R = -1/2, (Mx)_P = 1/2, and x^T M x = 0
         # for any anti-symmetric M, so dx = x * (Mx) = (-1/4, 1/4, 0).
-        dx = rhs_symmetric(rps, np.array([0.5, 0.5, 0.0]))
+        (dx,) = rhs(rps, mixed([0.5, 0.5, 0.0]))
         assert np.allclose(dx, [-0.25, 0.25, 0.0], atol=1e-15)
 
     def test_uniform_points_are_fixed(self, mp, rps):
-        dx = rhs_symmetric(rps, np.full(3, 1 / 3))
+        (dx,) = rhs(rps, uniform_profile(rps))
         assert np.abs(dx).max() < 1e-15
-        du, dv = rhs_nonsymmetric(mp, uniform_profile(mp))
+        du, dv = rhs(mp, uniform_profile(mp))
         assert np.abs(du).max() < 1e-15 and np.abs(dv).max() < 1e-15
 
     def test_pure_points_are_fixed(self, mp, rps):
-        du, dv = rhs_nonsymmetric(mp, pure_profile(mp, (0, 1)))
+        du, dv = rhs(mp, pure_profile(mp, (0, 1)))
         assert np.abs(du).max() == 0.0 and np.abs(dv).max() == 0.0
-        dx = rhs_symmetric(rps, np.array([0.0, 1.0, 0.0]))
+        (dx,) = rhs(rps, pure_profile(rps, 1))
         assert np.abs(dx).max() == 0.0
 
     def test_tangency(self):
@@ -57,10 +56,10 @@ class TestVectorFields:
         for g in game_corpus(rng, 30):
             z = random_mixed_profile(rng, g)
             if g.symmetric:
-                dx = rhs_symmetric(g, z.vectors[0])
+                (dx,) = rhs(g, z)
                 assert abs(dx.sum()) < 1e-12
             else:
-                du, dv = rhs_nonsymmetric(g, z)
+                du, dv = rhs(g, z)
                 assert abs(du.sum()) < 1e-12 and abs(dv.sum()) < 1e-12
 
 
@@ -85,7 +84,9 @@ class TestConfig:
             {"step": 0.1, "horizon": 0.1},
             {"horizon": -1.0},
             {"method": "euler"},
-            {"mwu_eta": 0.0},
+            {"horizon": math.inf},
+            {"horizon": math.nan},
+            {"step": math.nan},
         ],
     )
     def test_rejects_bad_settings(self, kwargs):
@@ -159,12 +160,12 @@ class TestIntegration:
         fine = integrate(mp, z0, IntegratorConfig(step=0.0005, horizon=5.0))
         assert np.abs(coarse.final.vectors[0] - fine.final.vectors[0]).max() < 1e-6
 
-    def test_log_and_direct_methods_agree(self, mp):
-        z0 = mixed([0.9, 0.1], [0.2, 0.8])
-        a = integrate(mp, z0, IntegratorConfig(step=0.01, horizon=20.0, method="rk4-log"))
-        b = integrate(mp, z0, IntegratorConfig(step=0.01, horizon=20.0, method="rk4-direct"))
-        assert np.abs(a.final.vectors[0] - b.final.vectors[0]).max() < 1e-9
-        assert np.abs(a.final.vectors[1] - b.final.vectors[1]).max() < 1e-9
+    def test_log_and_direct_methods_agree(self, mp, rps):
+        for g, z0 in ((mp, mixed([0.9, 0.1], [0.2, 0.8])), (rps, mixed([0.2, 0.3, 0.5]))):
+            a = integrate(g, z0, IntegratorConfig(step=0.01, horizon=20.0, method="rk4-log"))
+            b = integrate(g, z0, IntegratorConfig(step=0.01, horizon=20.0, method="rk4-direct"))
+            for va, vb in zip(a.final.vectors, b.final.vectors):
+                assert np.abs(va - vb).max() < 1e-9
 
     def test_simplex_is_preserved(self, diamond):
         rng = np.random.default_rng(3)
@@ -202,11 +203,25 @@ class TestIntegration:
             assert np.array_equal(batch[k].states[1], single.states[1])
             assert np.array_equal(batch[k].mass, single.mass)
 
-    def test_batch_requires_common_support(self, mp):
-        cfg = IntegratorConfig(step=0.01, horizon=1.0)
-        starts = [mixed([0.5, 0.5], [1.0, 0.0]), mixed([0.5, 0.5], [0.5, 0.5])]
-        with pytest.raises(ValueError):
-            integrate_batch(mp, starts, cfg)
+    @pytest.mark.parametrize("method", ["rk4-log", "rk4-direct"])
+    def test_batch_with_mixed_supports(self, diamond, method):
+        # Starts on different faces run in one batch; each must match its
+        # own single run and keep its zero coordinates exactly zero.
+        starts = [
+            mixed([0.2, 0.5, 0.3], [0.4, 0.3, 0.3]),
+            mixed([0.0, 0.5, 0.5], [0.4, 0.3, 0.3]),
+            mixed([0.6, 0.0, 0.4], [0.0, 0.7, 0.3]),
+            mixed([1.0, 0.0, 0.0], [0.2, 0.0, 0.8]),
+        ]
+        H = sink_component(build_graph(diamond))
+        cfg = IntegratorConfig(step=0.01, horizon=5.0, method=method)
+        batch = integrate_batch(diamond, starts, cfg, H=H)
+        for z, tr in zip(starts, batch):
+            single = integrate(diamond, z, cfg, H=H)
+            for states, one, v0 in zip(tr.states, single.states, z.vectors):
+                assert np.abs(states - one).max() < 1e-12
+                assert np.all(states[:, v0 == 0] == 0.0)
+            assert np.abs(tr.mass - single.mass).max() < 1e-12
 
 
 class TestLyapunov:
@@ -298,7 +313,7 @@ class TestMwu:
         # (mwu(z, eta) - z)/eta -> replicator field as eta -> 0, with the
         # deviation shrinking linearly in eta.
         z = mixed([0.9, 0.1], [0.2, 0.8])
-        dx, dy = rhs_nonsymmetric(mp, z)
+        dx, dy = rhs(mp, z)
 
         def err(eta: float) -> float:
             zn = mwu_step(mp, z, eta)

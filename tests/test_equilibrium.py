@@ -10,8 +10,7 @@ from zsflow import (
     essential_subgame,
     float_matrix,
     make_game,
-    rhs_nonsymmetric,
-    rhs_symmetric,
+    rhs,
     sink_component,
     solve_nash,
     verify_preference_nash,
@@ -106,10 +105,10 @@ class TestMinimaxConsistency:
         for g in (mp, rps, diamond):
             z = solve_nash(g).equilibrium
             if g.symmetric:
-                dx = rhs_symmetric(g, z.vectors[0])
+                (dx,) = rhs(g, z)
                 assert np.abs(dx).max() < 1e-9
             else:
-                du, dv = rhs_nonsymmetric(g, z)
+                du, dv = rhs(g, z)
                 assert np.abs(du).max() < 1e-9
                 assert np.abs(dv).max() < 1e-9
 
