@@ -28,6 +28,7 @@ from .dynamics import (
 )
 from .equilibrium import (
     NashCertificate,
+    NoEquilibriumError,
     PreferenceNashReport,
     certificate_to_dict,
     essential_subgame,

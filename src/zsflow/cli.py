@@ -28,7 +28,12 @@ from .dynamics import (
     write_trajectory_csv,
     write_trajectory_svg,
 )
-from .equilibrium import certificate_to_dict, solve_nash, verify_preference_nash
+from .equilibrium import (
+    NoEquilibriumError,
+    certificate_to_dict,
+    solve_nash,
+    verify_preference_nash,
+)
 from .game import (
     Game,
     GameFormatError,
@@ -122,8 +127,8 @@ def _analyze(args) -> int:
     part = scc(pg)
     sink = sink_component(pg)  # raises SinkUniquenessError on violation
     cont = content_of(sink, g)
-    cert = solve_nash(g)
-    nash_check = verify_preference_nash(g)
+    cert = solve_nash(g, pg)
+    nash_check = verify_preference_nash(g, pg)
     ties = sum(1 for a in pg.arcs if a.weight == 0) // 2
     report = {
         "game": {
@@ -339,6 +344,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VIOLATION
     except IntegrationError as exc:
         print(f"integration failed: {exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except NoEquilibriumError as exc:
+        print(f"nash solving failed: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
 
 

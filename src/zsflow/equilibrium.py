@@ -6,6 +6,12 @@ a square linear system per player; solutions that satisfy the best-response
 inequalities within tolerance are equilibria.  Every extreme optimal strategy
 arises from such a square subsystem, so the union of the supports found is
 the full set of strategies used by any equilibrium.
+
+The enumeration is batched per support size: the systems of a chunk of
+support pairs are stacked and solved by one LAPACK call, and the chunk size
+is capped so that working memory stays bounded however many pairs there are.
+About 10 strategies per side take seconds; the pair count, C(2n, n), sets
+the limit beyond that.
 """
 
 from __future__ import annotations
@@ -17,10 +23,18 @@ from itertools import combinations
 import numpy as np
 
 from .game import Game, MixedProfile, SUPPORT_ATOL, float_matrix
-from .prefgraph import build_graph, is_strongly_connected, sink_component
+from .prefgraph import PreferenceGraph, build_graph, is_strongly_connected, sink_component
 
-# Best-response slack accepted when validating a candidate equilibrium.
+# Best-response slack accepted when validating a candidate equilibrium, per
+# unit of the largest payoff magnitude (at least 1).
 EQ_TOL = 1e-9
+# Matrix entries per stacked system in one chunk of support pairs.
+CHUNK_ENTRIES = 2**13
+
+
+class NoEquilibriumError(RuntimeError):
+    """Support enumeration found no equilibrium.  The minimax theorem
+    guarantees one, so the float solves or the tolerance failed on the game."""
 
 
 @dataclass(frozen=True)
@@ -57,60 +71,53 @@ def _support(v: np.ndarray) -> tuple[int, ...]:
     return tuple(int(i) for i in np.nonzero(v > SUPPORT_ATOL)[0])
 
 
-def _solve_candidate(M: np.ndarray, S1, S2) -> tuple | None:
-    k = len(S1)
-    n, m = M.shape
-    # Row player's mix makes every column in S2 indifferent; value is unknown.
-    A = np.zeros((k + 1, k + 1))
-    b = np.zeros(k + 1)
-    for r, t in enumerate(S2):
-        A[r, :k] = M[list(S1), t]
-        A[r, k] = -1.0
-    A[k, :k] = 1.0
-    b[k] = 1.0
-    try:
-        solx = np.linalg.solve(A, b)
-    except np.linalg.LinAlgError:
-        return None
-    # Column player's mix makes every row in S1 indifferent.
-    C = np.zeros((k + 1, k + 1))
-    d = np.zeros(k + 1)
-    for r, s in enumerate(S1):
-        C[r, :k] = M[s, list(S2)]
-        C[r, k] = -1.0
-    C[k, :k] = 1.0
-    d[k] = 1.0
-    try:
-        soly = np.linalg.solve(C, d)
-    except np.linalg.LinAlgError:
-        return None
-    if not (np.all(np.isfinite(solx)) and np.all(np.isfinite(soly))):
-        return None
-    xs, v = solx[:k], solx[k]
-    ys, w = soly[:k], soly[k]
-    if abs(v - w) > EQ_TOL:
-        return None
-    if np.any(xs < -SUPPORT_ATOL) or np.any(ys < -SUPPORT_ATOL):
-        return None
-    x = np.zeros(n)
-    y = np.zeros(m)
-    x[list(S1)] = np.clip(xs, 0.0, None)
-    y[list(S2)] = np.clip(ys, 0.0, None)
-    return x, y, float(v)
+def _tolerance(M: np.ndarray) -> float:
+    """Best-response slack for M: EQ_TOL relative to the largest payoff."""
+    return EQ_TOL * max(1.0, float(np.max(np.abs(M))))
 
 
-def _is_equilibrium(M: np.ndarray, x: np.ndarray, y: np.ndarray, v: float) -> bool:
+def _solve_bordered(blocks: np.ndarray) -> np.ndarray:
+    """Solve [[B, -1], [1^T, 0]] z = e_k for every block B in a (P, k, k) stack.
+
+    Rows of singular systems are NaN.  The sign from slogdet is 0 exactly when
+    LU meets a zero pivot, which is when np.linalg.solve raises (det would
+    also read 0 when a product of small pivots underflows).
+    """
+    P, k, _ = blocks.shape
+    A = np.empty((P, k + 1, k + 1))
+    A[:, :k, :k] = blocks
+    A[:, :k, k] = -1.0
+    A[:, k, :k] = 1.0
+    A[:, k, k] = 0.0
+    e = np.zeros(k + 1)
+    e[k] = 1.0
+    sol = np.full((P, k + 1), np.nan)
+    ok = np.flatnonzero(np.linalg.slogdet(A)[0] != 0)
+    # b as (P, k+1, 1): numpy 1.x and 2.x both read it as one column each.
+    b = np.broadcast_to(e[:, None], (len(ok), k + 1, 1))
+    try:
+        sol[ok] = np.linalg.solve(A[ok], b)[..., 0]
+    except np.linalg.LinAlgError:
+        for p in ok:
+            try:
+                sol[p] = np.linalg.solve(A[p], e)
+            except np.linalg.LinAlgError:
+                pass
+    return sol
+
+
+def _is_equilibrium(M: np.ndarray, x: np.ndarray, y: np.ndarray, v: float, tol: float) -> bool:
     row_payoffs = M @ y
     col_payoffs = M.T @ x
-    if np.any(row_payoffs > v + EQ_TOL) or np.any(col_payoffs < v - EQ_TOL):
+    if np.any(row_payoffs > v + tol) or np.any(col_payoffs < v - tol):
         return False
     sx = x > SUPPORT_ATOL
     sy = y > SUPPORT_ATOL
-    if np.any(np.abs(row_payoffs[sx] - v) > EQ_TOL):
+    if np.any(np.abs(row_payoffs[sx] - v) > tol):
         return False
-    if np.any(np.abs(col_payoffs[sy] - v) > EQ_TOL):
+    if np.any(np.abs(col_payoffs[sy] - v) > tol):
         return False
-    return abs(float(x @ M @ y) - v) <= EQ_TOL
+    return abs(float(x @ M @ y) - v) <= tol
 
 
 @lru_cache(maxsize=128)
@@ -118,24 +125,55 @@ def _enumerate_equilibria(g: Game) -> tuple:
     """All equilibria found over equal-cardinality supports, in enumeration order.
 
     Entries are (x tuple, y tuple, value); singular candidate systems are
-    skipped.
+    skipped.  Support pairs run S1 outer, S2 inner, both lexicographic, and
+    are solved in chunks of at most CHUNK_ENTRIES matrix entries per system.
     """
     M = float_matrix(g)
+    tol = _tolerance(M)
     n, m = M.shape
     found = []
     for k in range(1, min(n, m) + 1):
-        for S1 in combinations(range(n), k):
-            for S2 in combinations(range(m), k):
-                sol = _solve_candidate(M, S1, S2)
-                if sol is None:
-                    continue
-                x, y, v = sol
-                if _is_equilibrium(M, x, y, v):
-                    found.append((tuple(x), tuple(y), v))
+        rows = np.array(list(combinations(range(n), k)))
+        cols = np.array(list(combinations(range(m), k)))
+        pairs = len(rows) * len(cols)
+        step = max(1, CHUNK_ENTRIES // (k + 1) ** 2)
+        for start in range(0, pairs, step):
+            p = np.arange(start, min(start + step, pairs))
+            S1 = rows[p // len(cols)]
+            S2 = cols[p % len(cols)]
+            # Row r of the row player's block is column S2[r] of M on rows S1;
+            # the column player's block is its transpose.
+            blocks = M[S1[:, None, :], S2[:, :, None]]
+            solx = _solve_bordered(blocks)
+            soly = _solve_bordered(blocks.transpose(0, 2, 1))
+            # inf - inf is NaN; the finite test rejects those rows anyway.
+            with np.errstate(invalid="ignore"):
+                keep = (
+                    np.isfinite(solx).all(axis=1)
+                    & np.isfinite(soly).all(axis=1)
+                    & (np.abs(solx[:, k] - soly[:, k]) <= tol)
+                    & (solx[:, :k] >= -SUPPORT_ATOL).all(axis=1)
+                    & (soly[:, :k] >= -SUPPORT_ATOL).all(axis=1)
+                )
+            idx = np.flatnonzero(keep)
+            at = np.arange(len(idx))[:, None]
+            X = np.zeros((len(idx), n))
+            Y = np.zeros((len(idx), m))
+            X[at, S1[idx]] = np.clip(solx[idx, :k], 0.0, None)
+            Y[at, S2[idx]] = np.clip(soly[idx, :k], 0.0, None)
+            v = solx[idx, k]
+            # Best replies with twice the slack: these products differ from
+            # _is_equilibrium's by rounding far below tol, so a pair that
+            # fails here fails there too.
+            near = ((Y @ M.T).max(axis=1) <= v + 2 * tol) & ((X @ M).min(axis=1) >= v - 2 * tol)
+            for j in np.flatnonzero(near):
+                x, y, value = X[j].copy(), Y[j].copy(), float(v[j])
+                if _is_equilibrium(M, x, y, value, tol):
+                    found.append((tuple(x), tuple(y), value))
     if not found:
-        raise RuntimeError(
+        raise NoEquilibriumError(
             "support enumeration found no equilibrium; this contradicts the "
-            "minimax theorem and indicates a solver bug"
+            "minimax theorem and indicates a numerical failure"
         )
     return tuple(found)
 
@@ -150,8 +188,11 @@ def _select(eqs: tuple) -> tuple:
     return min(eqs, key=rank)
 
 
-def solve_nash(g: Game) -> NashCertificate:
-    """Equilibrium with deterministic tie-breaking, certified against the graph."""
+def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
+    """Equilibrium with deterministic tie-breaking, certified against the graph.
+
+    pg is the preference graph of g if the caller has built it already.
+    """
     eqs = _enumerate_equilibria(g)
     x, y, v = _select(eqs)
     x = np.array(x)
@@ -169,7 +210,8 @@ def solve_nash(g: Game) -> NashCertificate:
         support = (_support(x), _support(y))
         value = v
         profiles = frozenset((i, j) for i in support[0] for j in support[1])
-    pg = build_graph(g)
+    if pg is None:
+        pg = build_graph(g)
     sink = sink_component(pg)
     return NashCertificate(
         equilibrium=z,
@@ -193,15 +235,19 @@ def essential_subgame(g: Game) -> tuple[tuple[int, ...], ...]:
     return (tuple(sorted(rows)), tuple(sorted(cols)))
 
 
-def verify_preference_nash(g: Game) -> PreferenceNashReport:
+def verify_preference_nash(g: Game, pg: PreferenceGraph | None = None) -> PreferenceNashReport:
     """Check that the essential subgame sits inside the sink component and is
-    strongly connected there; ties are reported, not resolved."""
+    strongly connected there; ties are reported, not resolved.
+
+    pg is the preference graph of g if the caller has built it already.
+    """
     ess = essential_subgame(g)
     if g.symmetric:
         profiles = frozenset(ess[0])
     else:
         profiles = frozenset((i, j) for i in ess[0] for j in ess[1])
-    pg = build_graph(g)
+    if pg is None:
+        pg = build_graph(g)
     sink = sink_component(pg)
     ties = sum(
         1 for a in pg.arcs if a.weight == 0 and a.src in profiles and a.dst in profiles

@@ -175,7 +175,8 @@ def verify_nash(count: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     for g in game_corpus(rng, count):
         report["checked"] += 1
-        cert = solve_nash(g)
+        pg = build_graph(g)
+        cert = solve_nash(g, pg)
         M = float_matrix(g)
         if g.symmetric:
             x = cert.equilibrium.vectors[0]
@@ -190,7 +191,7 @@ def verify_nash(count: int, seed: int) -> dict:
         if not ok:
             _fail(report, g, "certificate fails minimax consistency")
             break
-        nash_check = verify_preference_nash(g)
+        nash_check = verify_preference_nash(g, pg)
         if not nash_check.passed:
             _fail(
                 report,
@@ -205,11 +206,9 @@ def verify_nash(count: int, seed: int) -> dict:
             if g.symmetric
             else len(ess[0]) == g.n and len(ess[1]) == g.m
         )
-        if full:
-            pg = build_graph(g)
-            if not is_strongly_connected(pg, pg.nodes):
-                _fail(report, g, "fully mixed essential subgame but graph not strongly connected")
-                break
+        if full and not is_strongly_connected(pg, pg.nodes):
+            _fail(report, g, "fully mixed essential subgame but graph not strongly connected")
+            break
     return report
 
 

@@ -7,7 +7,9 @@ import sys
 
 import pytest
 
-from zsflow import parse_game
+import zsflow.cli
+import zsflow.equilibrium
+from zsflow import NoEquilibriumError, build_graph, parse_game
 from zsflow.cli import main
 
 
@@ -69,6 +71,41 @@ class TestAnalyze:
         bad.write_text('{"mode": "non-symmetric", "matrix": [[1, 2], [3]]}')
         code, _, err = run_cli(capsys, "analyze", str(bad))
         assert code == 2 and "error:" in err
+
+    def test_large_payoffs_keep_the_support(self, capsys, tmp_path):
+        # The equilibrium tolerance is relative to the payoff scale: at 1e9 an
+        # absolute one rejected every candidate and analyze crashed.
+        matrix = [[-3, 6, 1, -8], [4, -2, 7, 0], [-5, 9, -1, 3], [2, -7, 5, -4]]
+        supports = []
+        for scale in (1, 10**9):
+            path = tmp_path / f"game_{scale}.json"
+            scaled = [[v * scale for v in row] for row in matrix]
+            path.write_text(json.dumps({"mode": "non-symmetric", "matrix": scaled}))
+            code, out, _ = run_cli(capsys, "analyze", str(path), "--format", "json")
+            assert code == 0, scale
+            supports.append(json.loads(out)["report"]["nash"]["support"])
+        assert supports[0] == supports[1]
+
+    def test_nash_failure_exits_3(self, capsys, games_dir, monkeypatch):
+        def fail(g):
+            raise NoEquilibriumError("support enumeration found no equilibrium")
+
+        monkeypatch.setattr(zsflow.equilibrium, "_enumerate_equilibria", fail)
+        code, out, err = run_cli(capsys, "analyze", str(games_dir / "diamond.json"))
+        assert code == 3 and out == ""
+        assert err.startswith("nash solving failed:") and len(err.splitlines()) == 1
+
+    def test_builds_the_graph_once(self, capsys, games_dir, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return build_graph(g)
+
+        monkeypatch.setattr(zsflow.cli, "build_graph", counted)
+        monkeypatch.setattr(zsflow.equilibrium, "build_graph", counted)
+        code, _, _ = run_cli(capsys, "analyze", str(games_dir / "diamond.json"))
+        assert code == 0 and len(calls) == 1
 
 
 class TestSimulate:
