@@ -19,6 +19,7 @@ from .dynamics import (
     integrate,
     integrate_batch,
     lyapunov_rate,
+    lyapunov_rates,
     mass_monotone,
     mwu_step,
     rhs,

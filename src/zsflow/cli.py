@@ -129,7 +129,8 @@ def _analyze(args) -> int:
     cont = content_of(sink, g)
     cert = solve_nash(g, pg)
     nash_check = verify_preference_nash(g, pg)
-    ties = sum(1 for a in pg.arcs if a.weight == 0) // 2
+    arcs = int(pg.src.size)
+    ties = int(np.count_nonzero(pg.weights == 0)) // 2
     report = {
         "game": {
             "path": args.game,
@@ -141,7 +142,7 @@ def _analyze(args) -> int:
         },
         "graph": {
             "nodes": len(pg.nodes),
-            "arcs": len(pg.arcs),
+            "arcs": arcs,
             "zero_weight_arc_pairs": ties,
             "components": len(part.components),
             "component_sizes": [len(c) for c in part.components],
@@ -184,7 +185,7 @@ def _analyze(args) -> int:
         )
     lines = [
         f"game: {g.n}x{g.m} {g.mode} ({args.game})",
-        f"preference graph: {len(pg.nodes)} nodes, {len(pg.arcs)} arcs, "
+        f"preference graph: {len(pg.nodes)} nodes, {arcs} arcs, "
         f"{ties} tied pair(s), {len(part.components)} component(s)",
         f"sink component ({len(sink)}/{len(pg.nodes)} profiles): "
         + " ".join(report["sink"]["profiles"]),

@@ -27,8 +27,10 @@ def maximal_subgames(H: Iterable[Profile], g: Game):
     """Maximal product sets T1 x T2 contained in H (the strategy set itself if symmetric).
 
     Non-symmetric games return a sorted list of (rows, cols) tuples; symmetric
-    games return the single strategy subset.  Exhaustive search over row
-    subsets with closure, deduplicated.
+    games return the single strategy subset.  The column sets of the maximal
+    product sets are the non-empty intersections of row neighbourhoods in H,
+    closed one row at a time as bitmasks, so the cost grows with the output,
+    not with 2^rows.
     """
     Hset = frozenset(H)
     for p in Hset:
@@ -36,23 +38,21 @@ def maximal_subgames(H: Iterable[Profile], g: Game):
             raise ValueError(f"{p!r} is not a profile of this game")
     if g.symmetric:
         return [tuple(sorted(Hset))]
-    if not Hset:
-        return []
-    neigh = {i: frozenset(j for j in range(g.m) if (i, j) in Hset) for i in range(g.n)}
-    rows = [i for i in range(g.n) if neigh[i]]
-    seen = set()
-    out = []
-    for mask in range(1, 1 << len(rows)):
-        chosen = [rows[k] for k in range(len(rows)) if mask >> k & 1]
-        cols = frozenset.intersection(*(neigh[i] for i in chosen))
-        if not cols:
-            continue
-        closed_rows = frozenset(i for i in rows if neigh[i] >= cols)
-        key = (closed_rows, cols)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append((tuple(sorted(closed_rows)), tuple(sorted(cols))))
+    neigh = [0] * g.n
+    for i, j in Hset:
+        neigh[i] |= 1 << j
+    closed: set[int] = set()
+    for mask in neigh:
+        if mask:
+            closed |= {mask & c for c in closed} | {mask}
+    closed.discard(0)
+    out = [
+        (
+            tuple(i for i in range(g.n) if neigh[i] & c == c),
+            tuple(j for j in range(g.m) if c >> j & 1),
+        )
+        for c in closed
+    ]
     out.sort()
     return out
 

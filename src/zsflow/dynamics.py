@@ -258,24 +258,30 @@ def _run_direct(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndar
     return out
 
 
-def lyapunov_rate(g: Game, H: Iterable[Profile], z: MixedProfile) -> float:
-    """Instantaneous growth rate of the mass on H along the flow at z.
+def lyapunov_rates(g: Game, H: Iterable[Profile], zs: Sequence[MixedProfile]) -> np.ndarray:
+    """Instantaneous growth rates of the mass on H along the flow at each z in zs.
 
-    H must be the certified sink component of g's preference graph; the rate
-    is the weighted cut sum between H and its complement under the product
-    masses of z, through M for a symmetric game and the symmetrised matrix
-    otherwise.
+    H must be the certified sink component of g's preference graph; it is
+    certified once for all points.  Each rate is the weighted cut sum between
+    H and its complement under the product masses of z, through M for a
+    symmetric game and the symmetrised matrix otherwise.
     """
-    _check_shape(g, z)
+    for z in zs:
+        _check_shape(g, z)
     Hset = frozenset(H)
     if Hset != sink_component(build_graph(g)):
         raise ValueError("lyapunov_rate requires the certified sink component of the game")
     inside = np.array([p in Hset for p in g.profiles()])
     if inside.all():
-        return 0.0
+        return np.zeros(len(zs))
     S = float_matrix(g) if g.symmetric else sym_float_matrix(g)
-    masses = profile_masses(z)
-    return float(masses[inside] @ S[np.ix_(inside, ~inside)] @ masses[~inside])
+    X = np.array([profile_masses(z) for z in zs]).reshape(len(zs), inside.size)
+    return ((X[:, inside] @ S[np.ix_(inside, ~inside)]) * X[:, ~inside]).sum(axis=1)
+
+
+def lyapunov_rate(g: Game, H: Iterable[Profile], z: MixedProfile) -> float:
+    """lyapunov_rates at the single point z."""
+    return float(lyapunov_rates(g, H, [z])[0])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,7 @@ from itertools import combinations
 import numpy as np
 
 from .game import Game, MixedProfile, SUPPORT_ATOL, float_matrix
-from .prefgraph import PreferenceGraph, build_graph, is_strongly_connected, sink_component
+from .prefgraph import PreferenceGraph, build_graph, is_strongly_connected, node_mask, sink_component
 
 # Best-response slack accepted when validating a candidate equilibrium, per
 # unit of the largest payoff magnitude (at least 1).
@@ -249,9 +249,8 @@ def verify_preference_nash(g: Game, pg: PreferenceGraph | None = None) -> Prefer
     if pg is None:
         pg = build_graph(g)
     sink = sink_component(pg)
-    ties = sum(
-        1 for a in pg.arcs if a.weight == 0 and a.src in profiles and a.dst in profiles
-    )
+    inside = node_mask(pg, profiles)
+    ties = int(np.count_nonzero((pg.weights == 0) & inside[pg.src] & inside[pg.dst]))
     return PreferenceNashReport(
         subgame=ess,
         in_sink=profiles <= sink,

@@ -13,6 +13,7 @@ single ``int`` in the symmetric case.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Literal, Optional, Sequence, Union
@@ -67,6 +68,9 @@ class Game:
         row_labels: names for row strategies.
         col_labels: names for column strategies (same as rows if symmetric).
         float_view: read-only float copy of matrix, built once; not compared.
+        int_view: read-only matrix times int_scale, the LCM of its denominators;
+            int64 if all entries are below 2**62 in magnitude (so differences
+            cannot overflow), else Python ints.  Not compared, like int_scale.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -74,6 +78,8 @@ class Game:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     float_view: np.ndarray = field(init=False, repr=False, compare=False)
+    int_view: np.ndarray = field(init=False, repr=False, compare=False)
+    int_scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.matrix or not self.matrix[0]:
@@ -105,6 +111,13 @@ class Game:
         view = np.array([[float(v) for v in row] for row in self.matrix])
         view.setflags(write=False)
         object.__setattr__(self, "float_view", view)
+        scale = math.lcm(*(v.denominator for row in self.matrix for v in row))
+        ints = [[v.numerator * (scale // v.denominator) for v in row] for row in self.matrix]
+        big = max(abs(v) for row in ints for v in row) >= 2**62
+        exact = np.array(ints, dtype=object if big else np.int64)
+        exact.setflags(write=False)
+        object.__setattr__(self, "int_view", exact)
+        object.__setattr__(self, "int_scale", scale)
 
     @property
     def n(self) -> int:

@@ -3,16 +3,20 @@
 Nodes are pure profiles.  For every comparable pair {p, q} there is an arc
 p -> q exactly when weight(p, q) <= 0, i.e. the arc points at the profile the
 deviating player weakly prefers; a tie yields the antiparallel pair of
-zero-weight arcs.  Arc weights are |weight(p, q)| as exact rationals.
+zero-weight arcs.  Arc weights are |weight(p, q)|, held as exact integers
+over the game's common denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, NamedTuple
 
-from .game import Game, Profile, weight
+import numpy as np
+
+from .game import Game, Profile
 
 
 class Arc(NamedTuple):
@@ -29,15 +33,45 @@ class SinkUniquenessError(RuntimeError):
         self.components = components
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PreferenceGraph:
+    """A preference graph held as index arrays over its nodes.
+
+    Arc k runs from nodes[src[k]] to nodes[dst[k]] with weight
+    weights[k] / scale: integer weights over the game's common denominator,
+    so every comparison stays exact.  Graphs are equal when their nodes,
+    names, mode and arcs are.
+    """
+
     nodes: tuple[Profile, ...]
-    arcs: tuple[Arc, ...]
+    src: np.ndarray
+    dst: np.ndarray
+    weights: np.ndarray
+    scale: int
     symmetric: bool
     node_names: tuple[str, ...]
 
     def name_of(self, p: Profile) -> str:
         return self.node_names[self.nodes.index(p)]
+
+    @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs as Arc tuples with Fraction weights, built on first use."""
+        nodes, scale = self.nodes, self.scale
+        return tuple(
+            Arc(nodes[s], nodes[d], Fraction(w, scale))
+            for s, d, w in zip(self.src.tolist(), self.dst.tolist(), self.weights.tolist())
+        )
+
+    @cached_property
+    def _partition(self) -> SccPartition:
+        return _condense(self)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, PreferenceGraph):
+            return NotImplemented
+        mine = (self.nodes, self.node_names, self.symmetric, self.arcs)
+        return mine == (other.nodes, other.node_names, other.symmetric, other.arcs)
 
 
 @dataclass(frozen=True)
@@ -54,105 +88,114 @@ class SccPartition:
     sinks: tuple[int, ...] = field(default=())
 
 
-def _comparable_pairs(g: Game) -> Iterable[tuple[Profile, Profile]]:
-    # Row-major in the first element; same-row partners before same-column.
-    if g.symmetric:
-        for s in range(g.n):
-            for t in range(s + 1, g.n):
-                yield s, t
-        return
-    for i in range(g.n):
-        for j in range(g.m):
-            for j2 in range(j + 1, g.m):
-                yield (i, j), (i, j2)
-            for i2 in range(i + 1, g.n):
-                yield (i, j), (i2, j)
-
-
 def build_graph(g: Game) -> PreferenceGraph:
-    """Construct the preference graph of g."""
+    """Construct the preference graph of g from its exact integer payoffs."""
+    M = g.int_view
+    n, m = M.shape
+    if g.symmetric:
+        p, q = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+        w = M[p, q]
+    else:
+        # Slots of profile (i, j): (i, k) for every column k, where the column
+        # player moves, then (k, j) for every row k, where the row player
+        # moves.  The valid slots in row-major order are the comparable pairs
+        # in row-major order, same-row partners first.
+        W = np.concatenate([M[:, None, :] - M[:, :, None], M[:, :, None] - M.T[None]], axis=2)
+        i, j = np.divmod(np.arange(n * m)[:, None], m)
+        slot = np.arange(m + n)
+        p, k = np.nonzero(np.where(slot < m, slot > j, slot - m > i))
+        w = W.reshape(n * m, m + n)[p, k]
+        i, j = np.divmod(p, m)
+        q = np.where(k < m, i * m + k, (k - m) * m + j)
+    # w = weight(p, q): w < 0 gives p -> q, w > 0 gives q -> p, and a tie
+    # gives p -> q followed by q -> p, both of weight zero.
+    tie = w == 0
+    reps = 1 + tie
+    pair = np.repeat(np.arange(w.size), reps)
+    back = (w > 0)[pair]
+    back[np.cumsum(reps)[tie] - 1] = True
+    src = np.where(back, q[pair], p[pair])
+    dst = np.where(back, p[pair], q[pair])
     nodes = tuple(g.profiles())
-    arcs: list[Arc] = []
-    for p, q in _comparable_pairs(g):
-        w = weight(g, p, q)
-        if w < 0:
-            arcs.append(Arc(p, q, -w))
-        elif w > 0:
-            arcs.append(Arc(q, p, w))
-        else:
-            # Tied payoffs: a pair of zero-weight arcs in both directions.
-            arcs.append(Arc(p, q, Fraction(0)))
-            arcs.append(Arc(q, p, Fraction(0)))
-    names = tuple(g.profile_name(p) for p in nodes)
-    return PreferenceGraph(nodes, tuple(arcs), g.symmetric, names)
+    names = tuple(g.profile_name(v) for v in nodes)
+    return PreferenceGraph(nodes, src, dst, np.abs(w)[pair], g.int_scale, g.symmetric, names)
 
 
-def _adjacency(pg: PreferenceGraph) -> dict:
-    adj = {v: [] for v in pg.nodes}
-    for a in pg.arcs:
-        adj[a.src].append(a.dst)
-    return adj
+def _strong_components(N: int, src: np.ndarray, dst: np.ndarray) -> tuple[list[int], int]:
+    """Iterative Tarjan over nodes 0..N-1: each node's component label, in
+    order of completion, and the number of components."""
+    targets = dst[np.argsort(src, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(src, minlength=N)).tolist()
+    adj = [targets[a:b] for a, b in zip([0] + ends, ends)]
+    index = [-1] * N
+    low = [0] * N
+    onstack = [False] * N
+    label = [0] * N
+    stack: list[int] = []
+    counter = found = 0
 
-
-def scc(pg: PreferenceGraph) -> SccPartition:
-    """Strongly connected components via Tarjan, with deterministic numbering."""
-    adj = _adjacency(pg)
-    index: dict = {}
-    low: dict = {}
-    onstack: set = set()
-    stack: list = []
-    raw: list[frozenset] = []
-    counter = 0
-
-    for root in pg.nodes:
-        if root in index:
+    for root in range(N):
+        if index[root] >= 0:
             continue
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        onstack.add(root)
+        onstack[root] = True
         work = [(root, iter(adj[root]))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in index:
+                if index[w] < 0:
                     index[w] = low[w] = counter
                     counter += 1
                     stack.append(w)
-                    onstack.add(w)
+                    onstack[w] = True
                     work.append((w, iter(adj[w])))
-                    advanced = True
                     break
-                if w in onstack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                u = work[-1][0]
-                low[u] = min(low[u], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    onstack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                raw.append(frozenset(comp))
+                if onstack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if work and low[v] < low[work[-1][0]]:
+                    low[work[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        onstack[w] = False
+                        label[w] = found
+                        if w == v:
+                            break
+                    found += 1
+    return label, found
 
-    position = {v: k for k, v in enumerate(pg.nodes)}
-    ordered = tuple(sorted(raw, key=lambda c: min(position[v] for v in c)))
-    component_of = {v: k for k, comp in enumerate(ordered) for v in comp}
-    edges = frozenset(
-        (component_of[a.src], component_of[a.dst])
-        for a in pg.arcs
-        if component_of[a.src] != component_of[a.dst]
+
+def _condense(pg: PreferenceGraph) -> SccPartition:
+    label, found = _strong_components(len(pg.nodes), pg.src, pg.dst)
+    # Nodes are in row-major order, so numbering labels by first appearance
+    # numbers components by their smallest position.
+    renumber: dict[int, int] = {}
+    comp = [renumber.setdefault(c, len(renumber)) for c in label]
+    members: list[list] = [[] for _ in range(found)]
+    for v, c in zip(pg.nodes, comp):
+        members[c].append(v)
+    comp_of = np.array(comp)
+    cs, cd = comp_of[pg.src], comp_of[pg.dst]
+    cross = cs != cd
+    codes = cs[cross] * found + cd[cross]
+    codes = codes[np.argsort(codes, kind="stable")]
+    codes = codes[np.diff(codes, prepend=-1) != 0]
+    return SccPartition(
+        tuple(frozenset(c) for c in members),
+        dict(zip(pg.nodes, comp)),
+        frozenset(zip((codes // found).tolist(), (codes % found).tolist())),
+        tuple(np.flatnonzero(np.bincount(cs[cross], minlength=found) == 0).tolist()),
     )
-    has_out = {src for src, _ in edges}
-    sinks = tuple(k for k in range(len(ordered)) if k not in has_out)
-    return SccPartition(ordered, component_of, edges, sinks)
+
+
+def scc(pg: PreferenceGraph) -> SccPartition:
+    """Strongly connected components with deterministic numbering, computed
+    once per graph and cached on it."""
+    return pg._partition
 
 
 def sink_component(pg: PreferenceGraph) -> frozenset:
@@ -167,34 +210,26 @@ def sink_component(pg: PreferenceGraph) -> frozenset:
     return part.components[part.sinks[0]]
 
 
+def node_mask(pg: PreferenceGraph, subset: Iterable[Profile]) -> np.ndarray:
+    """Boolean mask over pg.nodes of the profiles in subset; raises for foreign ones."""
+    position = {v: k for k, v in enumerate(pg.nodes)}
+    inside = np.zeros(len(pg.nodes), dtype=bool)
+    for v in subset:
+        if v not in position:
+            raise ValueError(f"{v!r} is not a node of the graph")
+        inside[position[v]] = True
+    return inside
+
+
 def is_strongly_connected(pg: PreferenceGraph, subset: Iterable[Profile]) -> bool:
     """Whether the subgraph induced by subset is strongly connected."""
-    nodes = frozenset(subset)
-    if not nodes:
+    inside = node_mask(pg, subset)
+    if not inside.any():
         raise ValueError("strong connectivity is undefined for the empty set")
-    for v in nodes:
-        if v not in pg.nodes:
-            raise ValueError(f"{v!r} is not a node of the graph")
-    fwd = {v: [] for v in nodes}
-    rev = {v: [] for v in nodes}
-    for a in pg.arcs:
-        if a.src in nodes and a.dst in nodes:
-            fwd[a.src].append(a.dst)
-            rev[a.dst].append(a.src)
-    start = next(iter(nodes))
-
-    def reaches_all(adj) -> bool:
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            v = frontier.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-        return len(seen) == len(nodes)
-
-    return reaches_all(fwd) and reaches_all(rev)
+    keep = inside[pg.src] & inside[pg.dst]
+    local = np.cumsum(inside) - 1  # index among the subset's nodes
+    _, found = _strong_components(int(inside.sum()), local[pg.src[keep]], local[pg.dst[keep]])
+    return found == 1
 
 
 def _quote(name: str) -> str:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .content import mass_on
-from .dynamics import IntegratorConfig, integrate_batch, lyapunov_rate
+from .dynamics import IntegratorConfig, integrate_batch, lyapunov_rates
 from .equilibrium import essential_subgame, solve_nash, verify_preference_nash
 from .game import Game, float_matrix, game_to_dict
 from .prefgraph import SinkUniquenessError, build_graph, is_strongly_connected, sink_component
@@ -145,15 +145,17 @@ def verify_lyapunov(count: int, seed: int, points_per_game: int = 50) -> dict:
             continue
         proper += 1
         points = _proper_sink_points(rng, g, sink, points_per_game)
-        trajectories = integrate_batch(g, points, cfg, H=sink) if points else []
-        for z, tr in zip(points, trajectories):
+        if not points:
+            continue
+        trajectories = integrate_batch(g, points, cfg, H=sink)
+        rates = lyapunov_rates(g, sink, points)
+        mids = lyapunov_rates(g, sink, [tr.state(1) for tr in trajectories])
+        for rate, mid, tr in zip(rates.tolist(), mids.tolist(), trajectories):
             checked_points += 1
-            rate = lyapunov_rate(g, sink, z)
             if not rate > 0:
                 _fail(report, g, f"non-positive sink-mass rate {rate:g}")
                 break
             fd = (float(tr.mass[2]) - float(tr.mass[0])) / (2 * LYAPUNOV_FD_DT)
-            mid = lyapunov_rate(g, sink, tr.state(1))
             if abs(mid - fd) > LYAPUNOV_FD_TOL:
                 _fail(
                     report,

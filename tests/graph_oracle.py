@@ -1,0 +1,166 @@
+"""Reference implementations of the graph -> sink -> content chain.
+
+These are the per-pair Fraction arc builder, the profile-keyed Tarjan and the
+2^rows subset scan that the library used before it moved to integer index
+arrays and the intersection closure.  They share no code with
+``zsflow.prefgraph`` or ``zsflow.content`` beyond the game's exact ``weight``
+function and the result types, so any difference is an error in the array
+versions.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable
+
+import numpy as np
+
+from zsflow import Arc, Game, SccPartition, make_game, random_game, weight
+from zsflow.game import Profile
+
+
+def _comparable_pairs(g: Game) -> Iterable[tuple[Profile, Profile]]:
+    # Row-major in the first element; same-row partners before same-column.
+    if g.symmetric:
+        for s in range(g.n):
+            for t in range(s + 1, g.n):
+                yield s, t
+        return
+    for i in range(g.n):
+        for j in range(g.m):
+            for j2 in range(j + 1, g.m):
+                yield (i, j), (i, j2)
+            for i2 in range(i + 1, g.n):
+                yield (i, j), (i2, j)
+
+
+def oracle_arcs(g: Game) -> tuple[Arc, ...]:
+    """Arcs of g's preference graph, one Fraction comparison per pair."""
+    arcs: list[Arc] = []
+    for p, q in _comparable_pairs(g):
+        w = weight(g, p, q)
+        if w < 0:
+            arcs.append(Arc(p, q, -w))
+        elif w > 0:
+            arcs.append(Arc(q, p, w))
+        else:
+            # Tied payoffs: a pair of zero-weight arcs in both directions.
+            arcs.append(Arc(p, q, Fraction(0)))
+            arcs.append(Arc(q, p, Fraction(0)))
+    return tuple(arcs)
+
+
+def oracle_scc(nodes: tuple, arcs: Iterable[Arc]) -> SccPartition:
+    """Tarjan over hashed profiles, components numbered by smallest position."""
+    arcs = tuple(arcs)
+    adj = {v: [] for v in nodes}
+    for a in arcs:
+        adj[a.src].append(a.dst)
+    index: dict = {}
+    low: dict = {}
+    onstack: set = set()
+    stack: list = []
+    raw: list[frozenset] = []
+    counter = 0
+
+    for root in nodes:
+        if root in index:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        onstack.add(root)
+        work = [(root, iter(adj[root]))]
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if w not in index:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    onstack.add(w)
+                    work.append((w, iter(adj[w])))
+                    advanced = True
+                    break
+                if w in onstack:
+                    low[v] = min(low[v], index[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                u = work[-1][0]
+                low[u] = min(low[u], low[v])
+            if low[v] == index[v]:
+                comp = set()
+                while True:
+                    w = stack.pop()
+                    onstack.discard(w)
+                    comp.add(w)
+                    if w == v:
+                        break
+                raw.append(frozenset(comp))
+
+    position = {v: k for k, v in enumerate(nodes)}
+    ordered = tuple(sorted(raw, key=lambda c: min(position[v] for v in c)))
+    component_of = {v: k for k, comp in enumerate(ordered) for v in comp}
+    edges = frozenset(
+        (component_of[a.src], component_of[a.dst])
+        for a in arcs
+        if component_of[a.src] != component_of[a.dst]
+    )
+    has_out = {src for src, _ in edges}
+    sinks = tuple(k for k in range(len(ordered)) if k not in has_out)
+    return SccPartition(ordered, component_of, edges, sinks)
+
+
+def oracle_maximal_subgames(H: Iterable[Profile], g: Game):
+    """Maximal product sets inside H by closing every one of the 2^rows row subsets."""
+    Hset = frozenset(H)
+    for p in Hset:
+        if not g.contains_profile(p):
+            raise ValueError(f"{p!r} is not a profile of this game")
+    if g.symmetric:
+        return [tuple(sorted(Hset))]
+    if not Hset:
+        return []
+    neigh = {i: frozenset(j for j in range(g.m) if (i, j) in Hset) for i in range(g.n)}
+    rows = [i for i in range(g.n) if neigh[i]]
+    seen = set()
+    out = []
+    for mask in range(1, 1 << len(rows)):
+        chosen = [rows[k] for k in range(len(rows)) if mask >> k & 1]
+        cols = frozenset.intersection(*(neigh[i] for i in chosen))
+        if not cols:
+            continue
+        closed_rows = frozenset(i for i in rows if neigh[i] >= cols)
+        key = (closed_rows, cols)
+        if key in seen:
+            continue
+        seen.add(key)
+        out.append((tuple(sorted(closed_rows)), tuple(sorted(cols))))
+    out.sort()
+    return out
+
+
+def oracle_corpus(seed: int, count: int) -> list[Game]:
+    """Seeded games in four kinds, taken in turn: generic, tie-heavy (payoffs
+    in [-2, 2], either mode), symmetric and rational-payoff."""
+    rng = np.random.default_rng(seed)
+    games = []
+    for k in range(count):
+        n, m = (int(v) for v in rng.integers(1, 7, size=2))
+        kind = k % 4
+        if kind == 0:
+            games.append(random_game(rng, False, n, m))
+        elif kind == 1:
+            games.append(random_game(rng, bool(rng.integers(2)), max(n, 2), m, -2, 2))
+        elif kind == 2:
+            games.append(random_game(rng, True, max(n, 2)))
+        else:
+            num = rng.integers(-9, 10, size=(n, m))
+            den = rng.integers(1, 13, size=(n, m))
+            games.append(
+                make_game([[Fraction(int(a), int(b)) for a, b in zip(*r)] for r in zip(num, den)])
+            )
+    return games

@@ -2,15 +2,23 @@
 from __future__ import annotations
 
 import json
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 import zsflow.cli
 import zsflow.equilibrium
+import zsflow.prefgraph
 from zsflow import NoEquilibriumError, build_graph, parse_game
 from zsflow.cli import main
+
+
+# analyze outputs recorded with the Fraction per-pair graph builder, the
+# profile-keyed Tarjan and the 2^rows content scan (see graph_oracle.py).
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -106,6 +114,44 @@ class TestAnalyze:
         monkeypatch.setattr(zsflow.equilibrium, "build_graph", counted)
         code, _, _ = run_cli(capsys, "analyze", str(games_dir / "diamond.json"))
         assert code == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize("dot", [False, True])
+    def test_condenses_once_and_builds_arcs_only_for_dot(
+        self, capsys, games_dir, tmp_path, monkeypatch, dot
+    ):
+        graphs, condensed = [], []
+        condense = zsflow.prefgraph._condense
+
+        def built(g):
+            graphs.append(build_graph(g))
+            return graphs[-1]
+
+        def counted(pg):
+            condensed.append(pg)
+            return condense(pg)
+
+        monkeypatch.setattr(zsflow.cli, "build_graph", built)
+        monkeypatch.setattr(zsflow.prefgraph, "_condense", counted)
+        argv = ["analyze", str(games_dir / "diamond.json")]
+        if dot:
+            argv += ["--dot", str(tmp_path / "diamond.dot")]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0 and len(graphs) == 1 and len(condensed) == 1
+        assert ("arcs" in vars(graphs[0])) == dot
+
+    @pytest.mark.parametrize(
+        "stem", ["diamond", "matching_pennies", "rock_paper_scissors", "tie_heavy"]
+    )
+    def test_outputs_match_golden(self, capsys, games_dir, tmp_path, monkeypatch, stem):
+        game = GOLDEN / "tie_heavy.json" if stem == "tie_heavy" else games_dir / f"{stem}.json"
+        shutil.copy(game, tmp_path / f"{stem}.json")
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run_cli(
+            capsys, "analyze", f"{stem}.json", "--format", "json", "--dot", f"{stem}.dot"
+        )
+        assert code == 0
+        assert out.encode() == (GOLDEN / f"{stem}.analyze.json").read_bytes()
+        assert (tmp_path / f"{stem}.dot").read_bytes() == (GOLDEN / f"{stem}.dot").read_bytes()
 
 
 class TestSimulate:

@@ -20,6 +20,8 @@ from zsflow import (
     uniform_profile,
 )
 
+from graph_oracle import oracle_corpus, oracle_maximal_subgames
+
 
 def brute_force_bicliques(H, n, m):
     """All maximal product sets inside H by enumerating every (T1, T2) pair."""
@@ -120,6 +122,17 @@ class TestMaximalSubgames:
             H = {profiles[i] for i in chosen}
             got = set(maximal_subgames(H, g))
             assert got == brute_force_bicliques(H, n, m)
+
+    def test_against_subset_scan_oracle(self):
+        rng = np.random.default_rng(13)
+        for g in oracle_corpus(22, 160):
+            profiles = g.profiles()
+            subsets = [set(), set(profiles)]
+            for _ in range(4):
+                k = int(rng.integers(1, len(profiles) + 1))
+                subsets.append({profiles[i] for i in rng.choice(len(profiles), size=k, replace=False)})
+            for H in subsets:
+                assert maximal_subgames(H, g) == oracle_maximal_subgames(H, g)
 
     def test_subgames_cover_H(self, diamond):
         H = sink_component(build_graph(diamond))

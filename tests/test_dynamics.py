@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import zsflow.dynamics
 from zsflow import (
     IntegrationError,
     IntegratorConfig,
@@ -14,6 +15,7 @@ from zsflow import (
     integrate,
     integrate_batch,
     lyapunov_rate,
+    lyapunov_rates,
     make_game,
     mass_monotone,
     mixed,
@@ -240,6 +242,24 @@ class TestLyapunov:
         z = mixed([0.5, 0.3, 0.2], [0.6, 0.2, 0.2])
         with pytest.raises(ValueError):
             lyapunov_rate(diamond, frozenset({(1, 1), (2, 2)}), z)
+
+    def test_batch_certifies_once(self, diamond, monkeypatch):
+        H = sink_component(build_graph(diamond))
+        rng = np.random.default_rng(5)
+        zs = [random_mixed_profile(rng, diamond) for _ in range(20)]
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return build_graph(g)
+
+        monkeypatch.setattr(zsflow.dynamics, "build_graph", counted)
+        rates = lyapunov_rates(diamond, H, zs)
+        assert len(calls) == 1 and rates.shape == (20,)
+        for z, rate in zip(zs, rates):
+            assert rate == pytest.approx(lyapunov_rate(diamond, H, z), rel=1e-12, abs=1e-15)
+        with pytest.raises(ValueError):
+            lyapunov_rates(diamond, frozenset({(1, 1), (2, 2)}), zs)
 
     def test_matches_finite_difference(self, diamond):
         # d/dt x_H from a tiny integration step must agree with the closed

@@ -76,6 +76,13 @@ class TestParsing:
         g = parse_game('{"mode": "non-symmetric", "matrix": [["3/2", "-1/2"]]}')
         assert g.matrix[0] == (Fraction(3, 2), Fraction(-1, 2))
 
+    def test_exact_integer_view(self):
+        g = make_game([["1/2", "-2/3"], [3, "5/6"]])
+        assert g.int_scale == 6
+        assert g.int_view.dtype == np.int64
+        assert g.int_view.tolist() == [[3, -4], [18, 5]]
+        assert g == make_game([["3/6", "-4/6"], ["18/6", "5/6"]])
+
     def test_symmetric_requires_anti_symmetry(self):
         with pytest.raises(GameFormatError):
             parse_game('{"mode": "symmetric", "matrix": [[0, 1], [1, 0]]}')

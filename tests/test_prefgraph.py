@@ -20,6 +20,8 @@ from zsflow import (
 )
 from zsflow.sampling import game_corpus
 
+from graph_oracle import oracle_arcs, oracle_corpus, oracle_scc
+
 
 def brute_force_components(nodes, arcs):
     """Reachability-closure oracle: mutual reachability classes and sinks."""
@@ -159,12 +161,63 @@ class TestCondensation:
 
     def test_multiple_sinks_rejected(self):
         # Hand-built graph (not from a game): two isolated nodes.
+        none = np.zeros(0, dtype=np.intp)
         pg = PreferenceGraph(
-            nodes=(0, 1), arcs=(), symmetric=True, node_names=("u", "v")
+            nodes=(0, 1), src=none, dst=none, weights=none, scale=1,
+            symmetric=True, node_names=("u", "v"),
         )
         with pytest.raises(SinkUniquenessError) as err:
             sink_component(pg)
         assert len(err.value.components) == 2
+
+
+class TestAgainstOracle:
+    """Index arrays, integer arcs and index Tarjan against the Fraction
+    per-pair builder and the profile-keyed Tarjan."""
+
+    @staticmethod
+    def check(g):
+        pg = build_graph(g)
+        arcs = oracle_arcs(g)
+        assert pg.arcs == arcs  # order, direction and Fraction weight
+        part = scc(pg)
+        assert part == oracle_scc(pg.nodes, arcs)  # every SccPartition field
+        # Components are strongly connected; two of them together never are.
+        assert all(is_strongly_connected(pg, c) for c in part.components)
+        if len(part.components) > 1:
+            assert not is_strongly_connected(pg, part.components[0] | part.components[-1])
+
+    def test_seeded_corpus(self):
+        for g in oracle_corpus(20, 240):
+            self.check(g)
+
+    def test_huge_payoffs_take_the_object_path(self):
+        rng = np.random.default_rng(21)
+        primes = (1048573, 1048571, 1048559, 1048549, 1048517)
+        rational = make_game(
+            [
+                [Fraction(int(a), primes[(i + j) % 5]) for j, a in enumerate(row)]
+                for i, row in enumerate(rng.integers(-5, 6, size=(4, 5)))
+            ]
+        )
+        big = make_game([[int(v) * 2**70 for v in row] for row in rng.integers(-2, 3, size=(5, 4))])
+        K = rng.integers(-3, 4, size=(5, 5))
+        big_sym = make_game([[int(v) * 2**66 for v in row] for row in K - K.T], "symmetric")
+        for g in (rational, big, big_sym):
+            assert g.int_view.dtype == object
+            assert max(abs(v) for v in g.int_view.ravel()) > 2**62
+            self.check(g)
+
+    def test_int64_up_to_the_overflow_bound(self):
+        edge = 2**62 - 1
+        g = make_game([[edge, -edge], [-edge, edge]])
+        assert g.int_view.dtype == np.int64
+        self.check(g)
+        assert make_game([[2**62, 0]]).int_view.dtype == object
+
+    def test_condensation_cached_on_the_graph(self, diamond):
+        pg = build_graph(diamond)
+        assert scc(pg) is scc(pg)
 
 
 class TestStrongConnectivity:
