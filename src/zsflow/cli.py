@@ -340,6 +340,10 @@ def main(argv: list[str] | None = None) -> int:
     except (GameFormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        # e.g. a horizon whose samples cannot be held in memory
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except SinkUniquenessError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return EXIT_VIOLATION

@@ -30,7 +30,7 @@ from .game import (
     float_matrix,
     profile_masses,
 )
-from .prefgraph import build_graph, sink_component
+from .prefgraph import build_graph, node_mask, sink_component
 from .symmetrise import sym_float_matrix
 
 
@@ -144,13 +144,25 @@ def rhs(g: Game, z: MixedProfile) -> tuple[np.ndarray, ...]:
     return tuple(np.split(_field(op, _stack([z]))[0], op.starts[1:]))
 
 
-def _mass_series(g: Game, full: np.ndarray, H: frozenset) -> np.ndarray:
+def _profile_masses(g: Game, Z: np.ndarray) -> np.ndarray:
+    """Product masses over all profiles, row-major, of each stacked state in Z."""
     if g.symmetric:
-        return full[..., sorted(H)].sum(axis=-1)
-    B = np.zeros((g.n, g.m))
-    for (i, j) in H:
-        B[i, j] = 1.0
+        return Z
+    return (Z[:, : g.n, None] * Z[:, None, g.n :]).reshape(len(Z), g.n * g.m)
+
+
+def _mass_series(g: Game, full: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """Mass on the profiles of the mask inside, per sample and start."""
+    if g.symmetric:
+        return full[..., inside].sum(axis=-1)
+    B = inside.reshape(g.n, g.m).astype(float)
     return np.einsum("tbi,ij,tbj->tb", full[..., : g.n], B, full[..., g.n :])
+
+
+def _flow(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+    """Samples (steps + 1, B, n+m) of the flow from the stacked starts Z0."""
+    run = _run_log if cfg.method == "rk4-log" else _run_direct
+    return run(op, Z0, cfg)
 
 
 def integrate(
@@ -179,22 +191,22 @@ def integrate_batch(
         raise ValueError("integrate_batch requires at least one start")
     for z in starts:
         _check_shape(g, z)
-    Hset = None
+    inside = None
     if H is not None:
         Hset = frozenset(H)
         for p in Hset:
             if not g.contains_profile(p):
                 raise ValueError(f"{p!r} is not a profile of this game")
+        inside = np.array([p in Hset for p in g.profiles()])
 
     op = _operator(g)
-    run = _run_log if cfg.method == "rk4-log" else _run_direct
-    full = run(op, _stack(starts), cfg)  # (samples, B, n+m)
+    full = _flow(op, _stack(starts), cfg)  # (samples, B, n+m)
     times = np.arange(cfg.steps + 1) * cfg.step
     # x M y over the first and last blocks; both are x for a symmetric game.
     payoff = np.einsum("tbi,ij,tbj->tb", full[..., : g.n], float_matrix(g), full[..., -g.m :])
     mass = dist = None
-    if Hset is not None:
-        mass = _mass_series(g, full, Hset)
+    if inside is not None:
+        mass = _mass_series(g, full, inside)
         dist = 1.0 - mass
 
     return [
@@ -268,14 +280,20 @@ def lyapunov_rates(g: Game, H: Iterable[Profile], zs: Sequence[MixedProfile]) ->
     """
     for z in zs:
         _check_shape(g, z)
+    pg = build_graph(g)
     Hset = frozenset(H)
-    if Hset != sink_component(build_graph(g)):
+    if Hset != sink_component(pg):
         raise ValueError("lyapunov_rate requires the certified sink component of the game")
-    inside = np.array([p in Hset for p in g.profiles()])
+    X = np.array([profile_masses(z) for z in zs]).reshape(len(zs), len(pg.nodes))
+    return _sink_rates(g, node_mask(pg, Hset), X)
+
+
+def _sink_rates(g: Game, inside: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Cut-sum growth rates of the mass on the sink mask inside at each row of
+    the product masses X."""
     if inside.all():
-        return np.zeros(len(zs))
+        return np.zeros(len(X))
     S = float_matrix(g) if g.symmetric else sym_float_matrix(g)
-    X = np.array([profile_masses(z) for z in zs]).reshape(len(zs), inside.size)
     return ((X[:, inside] @ S[np.ix_(inside, ~inside)]) * X[:, ~inside]).sum(axis=1)
 
 
@@ -297,14 +315,21 @@ def check_embedding(g: Game, z: MixedProfile) -> EmbeddingReport:
     """Compare d/dt (x1 (x) x2) computed two ways at z (non-symmetric games)."""
     if g.symmetric:
         raise ValueError("check_embedding requires a non-symmetric game")
-    dx, dy = rhs(g, z)
-    x, y = z.vectors
-    via_product_rule = (np.outer(dx, y) + np.outer(x, dy)).ravel()
-    masses = profile_masses(z)
-    via_symmetrised = masses * (sym_float_matrix(g) @ masses)
-    residual = np.abs(via_product_rule - via_symmetrised)
+    _check_shape(g, z)
+    residual = _embedding_residuals(g, _stack([z]))[0]
     worst = int(residual.argmax())
     return EmbeddingReport(float(residual.max()), (worst // g.m, worst % g.m))
+
+
+def _embedding_residuals(g: Game, Z: np.ndarray) -> np.ndarray:
+    """|product-rule derivative - symmetrised field| of the profile masses,
+    one row per stacked state of a non-symmetric game."""
+    n = g.n
+    dZ = _field(_operator(g), Z)
+    dx, dy, x, y = dZ[:, :n, None], dZ[:, None, n:], Z[:, :n, None], Z[:, None, n:]
+    via_product_rule = (dx * y + x * dy).reshape(len(Z), n * g.m)
+    X = _profile_masses(g, Z)
+    return np.abs(via_product_rule - X * (X @ sym_float_matrix(g).T))
 
 
 def mwu_step(g: Game, z: MixedProfile, eta: float) -> MixedProfile:

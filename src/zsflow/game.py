@@ -16,6 +16,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Literal, Optional, Sequence, Union
 
 import numpy as np
@@ -70,7 +71,7 @@ class Game:
         float_view: read-only float copy of matrix, built once; not compared.
         int_view: read-only matrix times int_scale, the LCM of its denominators;
             int64 if all entries are below 2**62 in magnitude (so differences
-            cannot overflow), else Python ints.  Not compared, like int_scale.
+            cannot overflow), else Python ints.  Built on first read.
     """
 
     matrix: tuple[tuple[Fraction, ...], ...]
@@ -78,8 +79,6 @@ class Game:
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
     float_view: np.ndarray = field(init=False, repr=False, compare=False)
-    int_view: np.ndarray = field(init=False, repr=False, compare=False)
-    int_scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.matrix or not self.matrix[0]:
@@ -111,13 +110,19 @@ class Game:
         view = np.array([[float(v) for v in row] for row in self.matrix])
         view.setflags(write=False)
         object.__setattr__(self, "float_view", view)
-        scale = math.lcm(*(v.denominator for row in self.matrix for v in row))
+
+    @cached_property
+    def int_scale(self) -> int:
+        return math.lcm(*(v.denominator for row in self.matrix for v in row))
+
+    @cached_property
+    def int_view(self) -> np.ndarray:
+        scale = self.int_scale
         ints = [[v.numerator * (scale // v.denominator) for v in row] for row in self.matrix]
         big = max(abs(v) for row in ints for v in row) >= 2**62
         exact = np.array(ints, dtype=object if big else np.int64)
         exact.setflags(write=False)
-        object.__setattr__(self, "int_view", exact)
-        object.__setattr__(self, "int_scale", scale)
+        return exact
 
     @property
     def n(self) -> int:

@@ -51,6 +51,16 @@ def random_mixed_profile(
     )
 
 
+def random_interior_stack(rng: np.random.Generator, g: Game, count: int) -> np.ndarray:
+    """count interior points as a (count, n+m) stack (n for a symmetric game),
+    from the same draws as count calls of random_mixed_profile(rng, g)."""
+    ones = [np.ones(g.n)] if g.symmetric else [np.ones(g.n), np.ones(g.m)]
+    size = sum(v.size for v in ones)
+    return np.array(
+        [np.concatenate([rng.dirichlet(v) for v in ones]) for _ in range(count)]
+    ).reshape(count, size)
+
+
 def game_corpus(
     rng: np.random.Generator,
     count: int,

@@ -14,17 +14,36 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
-from .game import Game, GameFormatError, Profile, float_matrix, weight
+from .game import Game, GameFormatError, Profile, float_matrix
+from .prefgraph import build_graph
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SymmetrisedGame:
+    """The symmetrised matrix of base, held as ints: S times base.int_scale,
+    one (nm, nm) array in profile order, int64 when the base game's integer
+    view is (else Python ints).  matrix, the rows of Fractions, is built on
+    first use.  Symmetrised games are equal when their bases and matrices are.
+    """
+
     base: Game
-    matrix: tuple[tuple[Fraction, ...], ...]
+    ints: np.ndarray
     profile_order: tuple[tuple[int, int], ...]
+
+    @cached_property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        scale = self.base.int_scale
+        return tuple(tuple(Fraction(v, scale) for v in row) for row in self.ints.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SymmetrisedGame):
+            return NotImplemented
+        mine = (self.base, self.profile_order, self.ints.tolist())
+        return mine == (other.base, other.profile_order, other.ints.tolist())
 
     def index(self, p: Profile) -> int:
         return p[0] * self.base.m + p[1]
@@ -40,31 +59,26 @@ def _check_nonsymmetric(g: Game) -> None:
         raise GameFormatError("game is already symmetric; symmetrisation expects non-symmetric input")
 
 
+def _pair_differences(M: np.ndarray) -> np.ndarray:
+    """S[(i,j),(k,l)] = M[i,l] - M[k,j] as an (nm, nm) array."""
+    n, m = M.shape
+    return (M[:, None, None, :] - M.T[None, :, :, None]).reshape(n * m, n * m)
+
+
 def symmetrise(g: Game) -> SymmetrisedGame:
     _check_nonsymmetric(g)
     order = tuple((i, j) for i in range(g.n) for j in range(g.m))
-    matrix = tuple(
-        tuple(g.matrix[p1][q2] - g.matrix[q1][p2] for (q1, q2) in order)
-        for (p1, p2) in order
-    )
-    return SymmetrisedGame(g, matrix, order)
+    ints = _pair_differences(g.int_view)
+    ints.setflags(write=False)
+    return SymmetrisedGame(g, ints, order)
 
 
 def sym_float_matrix(g: Game) -> np.ndarray:
-    """Float symmetrised matrix of g (read-only), broadcast from the float view:
-    S[(i,j),(k,l)] = M[i,l] - M[k,j]."""
+    """Float symmetrised matrix of g (read-only), broadcast from the float view."""
     _check_nonsymmetric(g)
-    M = float_matrix(g)
-    arr = (M[:, None, None, :] - M.T[None, :, :, None]).reshape(g.n * g.m, g.n * g.m)
+    arr = _pair_differences(float_matrix(g))
     arr.setflags(write=False)
     return arr
-
-
-def _w0(g: Game, p: Profile, q: Profile) -> Fraction:
-    # Weight extended to equal profiles; skew-symmetry forces W[p][p] = 0.
-    if p == q:
-        return Fraction(0)
-    return weight(g, p, q)
 
 
 @dataclass(frozen=True)
@@ -80,20 +94,35 @@ class WeightIdentityReport:
 def check_weight_identity(g: Game) -> WeightIdentityReport:
     """Verify S[p][q] = W[p][(p1,q2)] + W[p][(q1,p2)] = W[(p1,q2)][q] + W[(q1,p2)][q].
 
-    Exact rational arithmetic over every ordered profile pair.
+    All ordered profile pairs are checked at once in integers over the game's
+    common denominator.  W (zero on the diagonal) is read from the arc arrays
+    of the preference graph, so the symmetrised matrix is checked against the
+    graph layer.  Violations are (p, q, S[p][q], via p, via q) with Fraction
+    values, in row-major order of (p, q).
     """
     sg = symmetrise(g)
-    order = sg.profile_order
-    violations = []
-    checked = 0
-    for a, p in enumerate(order):
-        for b, q in enumerate(order):
-            s = sg.matrix[a][b]
-            mid1 = (p[0], q[1])
-            mid2 = (q[0], p[1])
-            via_p = _w0(g, p, mid1) + _w0(g, p, mid2)
-            via_q = _w0(g, mid1, q) + _w0(g, mid2, q)
-            checked += 1
-            if s != via_p or s != via_q:
-                violations.append((p, q, s, via_p, via_q))
-    return WeightIdentityReport(checked, tuple(violations))
+    pg = build_graph(g)
+    N, m = len(sg.profile_order), g.m
+    # A weight is a difference of two entries and each side of the identity a
+    # sum of two weights, so int64 holds them exactly while every entry is
+    # below 2**61 in magnitude; past that, Python ints.
+    I = g.int_view
+    big = max(-int(I.min()), int(I.max())) >= 2**61
+    W = np.zeros((N, N), dtype=object if big else np.int64)
+    # An arc p -> q of weight w means weight(p, q) = -w and weight(q, p) = w.
+    W[pg.dst, pg.src] = pg.weights
+    W[pg.src, pg.dst] = -pg.weights
+    i, j = np.divmod(np.arange(N), m)
+    mid1 = i[:, None] * m + j  # (p1, q2)
+    mid2 = i * m + j[:, None]  # (q1, p2)
+    rows, cols = np.arange(N)[:, None], np.arange(N)
+    via_p = W[rows, mid1] + W[rows, mid2]
+    via_q = W[mid1, cols] + W[mid2, cols]
+    bad = (sg.ints != via_p) | (sg.ints != via_q)
+    order, scale = sg.profile_order, g.int_scale
+    violations = tuple(
+        (order[a], order[b])
+        + tuple(Fraction(int(v[a, b]), scale) for v in (sg.ints, via_p, via_q))
+        for a, b in zip(*(k.tolist() for k in np.nonzero(bad)))
+    )
+    return WeightIdentityReport(N * N, violations)

@@ -17,8 +17,11 @@ from zsflow.cli import main
 
 
 # analyze outputs recorded with the Fraction per-pair graph builder, the
-# profile-keyed Tarjan and the 2^rows content scan (see graph_oracle.py).
+# profile-keyed Tarjan and the 2^rows content scan (see graph_oracle.py);
+# verify outputs recorded with the Fraction symmetrisation check and the
+# per-point Lyapunov and embedding loops, before the margin keys existed.
 GOLDEN = Path(__file__).resolve().parent / "golden"
+MARGINS = {"symmetrisation": ("pairs_checked",), "lyapunov": ("min_rate", "max_fd_gap")}
 
 
 def run_cli(capsys, *argv: str) -> tuple[int, str, str]:
@@ -267,6 +270,17 @@ class TestSimulate:
             assert code == 2, horizon
             assert "error:" in err
 
+    def test_unrepresentable_horizon_exits_2(self, capsys, games_dir, tmp_path):
+        # 10**14 samples of 6 floats (4.3 PiB): the allocator refuses the
+        # sample array at once, before any step is taken.
+        code, _, err = run_cli(
+            capsys, "simulate", str(games_dir / "diamond.json"), "--horizon", "1e12",
+            "--out-dir", str(tmp_path),
+        )
+        assert code == 2
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
     def test_unstable_direct_run_exits_3(self, capsys, tmp_path):
         game = tmp_path / "loud.json"
         game.write_text('{"mode": "non-symmetric", "matrix": [[1000, -1000], [-1000, 1000]]}')
@@ -309,6 +323,24 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "--count", "-1")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize(
+        "scope, count", [("graph", 40), ("symmetrisation", 40), ("lyapunov", 30), ("nash", 20)]
+    )
+    def test_reports_match_golden(self, capsys, scope, count):
+        code, out, _ = run_cli(
+            capsys, "verify", "--scope", scope, "--count", str(count), "--seed", "11",
+            "--format", "json",
+        )
+        assert code == 0
+        manifest = json.loads(out)
+        detail = manifest["result"][0]["detail"]
+        margins = [detail.pop(key) for key in MARGINS.get(scope, ())]
+        assert (json.dumps(manifest, indent=2) + "\n").encode() == (
+            GOLDEN / f"{scope}.verify.json"
+        ).read_bytes()
+        assert all(isinstance(v, (int, float)) for v in margins)
+        assert not set(detail) & {k for keys in MARGINS.values() for k in keys}
+
 
 class TestSymmetrise:
     def test_round_trip(self, capsys, games_dir, tmp_path):
@@ -350,14 +382,15 @@ class TestDeterminism:
         assert outs[0] == outs[1]
 
     def test_verify_json_repeatable(self, capsys):
-        outs = []
-        for _ in range(2):
-            _, out, _ = run_cli(
-                capsys, "verify", "--scope", "symmetrisation", "--count", "10",
-                "--format", "json",
-            )
-            outs.append(out)
-        assert outs[0] == outs[1]
+        for scope in ("symmetrisation", "lyapunov"):  # both report margins
+            outs = []
+            for _ in range(2):
+                _, out, _ = run_cli(
+                    capsys, "verify", "--scope", scope, "--count", "10",
+                    "--format", "json",
+                )
+                outs.append(out)
+            assert outs[0] == outs[1]
 
 
 def test_module_entry_point(games_dir):

@@ -83,6 +83,12 @@ class TestParsing:
         assert g.int_view.tolist() == [[3, -4], [18, 5]]
         assert g == make_game([["3/6", "-4/6"], ["18/6", "5/6"]])
 
+    def test_integer_view_built_on_first_read(self):
+        g = make_game([["1/2", 3], [-1, "1/3"]])
+        assert "int_view" not in vars(g) and "int_scale" not in vars(g)
+        assert g.int_view.tolist() == [[3, 18], [-6, 2]]
+        assert vars(g)["int_scale"] == 6
+
     def test_symmetric_requires_anti_symmetry(self):
         with pytest.raises(GameFormatError):
             parse_game('{"mode": "symmetric", "matrix": [[0, 1], [1, 0]]}')

@@ -1,13 +1,16 @@
 """Symmetrised game construction and its weight identities."""
 
+import importlib
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zsflow.verify
 from zsflow import (
     GameFormatError,
+    SymmetrisedGame,
     build_graph,
     check_weight_identity,
     comparable,
@@ -19,6 +22,16 @@ from zsflow import (
     symmetrise,
     weight,
 )
+from zsflow.verify import verify_symmetrisation
+
+from symmetrise_oracle import (
+    identity_corpus,
+    oracle_symmetrise,
+    oracle_weight_identity,
+)
+
+# The package re-exports the function under the module's name.
+symmetrise_module = importlib.import_module("zsflow.symmetrise")
 
 
 @st.composite
@@ -108,3 +121,68 @@ def test_as_game_round_trip(mp):
     # the symmetrised game is a valid input for the whole pipeline
     sink = sink_component(build_graph(again))
     assert sink  # non-empty; contents checked elsewhere
+
+
+class TestAgainstOracle:
+    """The integer-array symmetrisation and weight-identity check against the
+    per-pair Fraction constructions."""
+
+    def test_seeded_corpus(self):
+        games = identity_corpus(31, 200)
+        for g in games:
+            assert symmetrise(g).matrix == oracle_symmetrise(g)
+            report = check_weight_identity(g)
+            assert (report.pairs_checked, report.violations) == oracle_weight_identity(g)
+            assert report.ok
+        # Both integer paths of the check and both of the view are covered.
+        peaks = [max(abs(v) for row in g.int_view.tolist() for v in row) for g in games]
+        assert any(2**61 <= p < 2**62 for p in peaks)
+        assert any(p >= 2**62 for p in peaks) and any(p < 2**61 for p in peaks)
+        assert {g.n for g in games if g.m == 1} >= {1, 2} and any(g.n == 1 < g.m for g in games)
+
+    def test_corrupted_matrix_violations(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        found = 0
+        for g in identity_corpus(33, 70):
+            sg = symmetrise(g)
+            size = len(sg.profile_order)
+            ints = sg.ints.astype(object)
+            bad = oracle_symmetrise(g)
+            bad = [list(row) for row in bad]
+            for _ in range(int(rng.integers(1, 4))):
+                a, b = (int(v) for v in rng.integers(size, size=2))
+                delta = [1, -1, 2**63, -(2**64)][int(rng.integers(4))]
+                ints[a, b] += delta
+                bad[a][b] += Fraction(delta, g.int_scale)
+            corrupted = SymmetrisedGame(g, ints, sg.profile_order)
+            monkeypatch.setattr(symmetrise_module, "symmetrise", lambda _g: corrupted)
+            report = check_weight_identity(g)
+            monkeypatch.undo()
+            expected = oracle_weight_identity(g, bad)
+            assert (report.pairs_checked, report.violations) == expected
+            found += len(expected[1])
+        assert found > 0
+
+    @pytest.mark.parametrize(
+        "shift, message",
+        [
+            ({(0, -1): 1}, "symmetrised matrix is not anti-symmetric"),
+            ({(0, -1): 1, (-1, 0): -1}, "weight identity violated on 2 pairs"),
+        ],
+    )
+    def test_verify_reports_corruption(self, monkeypatch, shift, message):
+        real = symmetrise_module.symmetrise
+
+        def shifted(g):
+            sg = real(g)
+            ints = sg.ints.copy()
+            for (a, b), delta in shift.items():
+                ints[a, b] += delta
+            return SymmetrisedGame(g, ints, sg.profile_order)
+
+        monkeypatch.setattr(symmetrise_module, "symmetrise", shifted)
+        monkeypatch.setattr(zsflow.verify, "symmetrise", shifted)
+        report = verify_symmetrisation(10, 5)
+        assert report["failures"] == [message]
+        game = report["counterexample"]["game"]
+        assert len(game["matrix"]) * len(game["matrix"][0]) > 1

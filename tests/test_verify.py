@@ -1,0 +1,167 @@
+"""The verify scopes against their one-point-at-a-time forms, their margins
+and their failure paths."""
+
+import numpy as np
+import pytest
+
+import zsflow.dynamics
+import zsflow.prefgraph
+import zsflow.verify
+from zsflow import (
+    IntegratorConfig,
+    build_graph,
+    check_embedding,
+    integrate_batch,
+    lyapunov_rates,
+    mass_on,
+    random_game,
+    random_mixed_profile,
+    sink_component,
+)
+from zsflow.sampling import game_corpus, random_interior_stack
+from zsflow.verify import (
+    LYAPUNOV_FD_DT,
+    LYAPUNOV_FD_TOL,
+    verify_embedding,
+    verify_lyapunov,
+    verify_symmetrisation,
+)
+
+
+def per_point_lyapunov(count: int, seed: int, points_per_game: int = 50):
+    """The lyapunov scope one point at a time through the public API:
+    (proper-sink games, points, smallest rate, largest finite-difference gap)."""
+    rng = np.random.default_rng(seed)
+    cfg = IntegratorConfig(step=LYAPUNOV_FD_DT, horizon=2 * LYAPUNOV_FD_DT)
+    proper, rates, gaps = 0, [], []
+    for g in game_corpus(rng, count):
+        sink = sink_component(build_graph(g))
+        if len(sink) == len(g.profiles()):
+            continue
+        proper += 1
+        points, tries = [], 0
+        while len(points) < points_per_game and tries < 400:
+            tries += 1
+            z = random_mixed_profile(rng, g)
+            if 0.05 < mass_on(z, sink) < 0.95:
+                points.append(z)
+        if not points:
+            continue
+        runs = integrate_batch(g, points, cfg, H=sink)
+        rates += lyapunov_rates(g, sink, points).tolist()
+        mids = lyapunov_rates(g, sink, [tr.state(1) for tr in runs]).tolist()
+        for mid, tr in zip(mids, runs):
+            fd = (float(tr.mass[2]) - float(tr.mass[0])) / (2 * LYAPUNOV_FD_DT)
+            gaps.append(abs(mid - fd))
+    return proper, len(rates), min(rates), max(gaps)
+
+
+class TestStackedDraws:
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_same_draws_as_one_profile_at_a_time(self, symmetric):
+        g = random_game(np.random.default_rng(1), symmetric, 4, 3)
+        a, b = np.random.default_rng(2), np.random.default_rng(2)
+        Z = random_interior_stack(a, g, 7)
+        expected = [np.concatenate(random_mixed_profile(b, g).vectors) for _ in range(7)]
+        assert np.array_equal(Z, np.array(expected))
+        assert a.random() == b.random()  # the generators stop at the same place
+        assert random_interior_stack(a, g, 0).shape == (0, Z.shape[1])
+
+
+class TestLyapunov:
+    def test_matches_per_point_scope(self):
+        report = verify_lyapunov(40, 17)
+        detail = report["detail"]
+        assert report["passed"]
+        assert per_point_lyapunov(40, 17) == (
+            detail["proper_sink_games"],
+            detail["points_checked"],
+            detail["min_rate"],
+            detail["max_fd_gap"],
+        )
+        assert detail["min_rate"] > 0 and detail["max_fd_gap"] <= LYAPUNOV_FD_TOL
+
+    def test_no_points_no_margins(self):
+        detail = verify_lyapunov(6, 3, points_per_game=0)["detail"]
+        assert detail["points_checked"] == 0
+        assert detail["min_rate"] is None and detail["max_fd_gap"] is None
+
+    def test_builds_one_graph_per_game(self, monkeypatch):
+        real = zsflow.prefgraph.build_graph
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        for module in (zsflow.verify, zsflow.dynamics):
+            monkeypatch.setattr(module, "build_graph", counted)
+        verify_lyapunov(30, 5)
+        assert len(calls) == 30
+
+    def test_stops_at_the_first_bad_point(self, monkeypatch):
+        real = zsflow.verify._sink_rates
+
+        def flipped(g, inside, X):
+            rates = real(g, inside, X).copy()
+            rates[3:] *= -1
+            return rates
+
+        monkeypatch.setattr(zsflow.verify, "_sink_rates", flipped)
+        report = verify_lyapunov(20, 5)
+        assert len(report["failures"]) == 1
+        assert report["failures"][0].startswith("non-positive sink-mass rate -")
+        assert report["detail"]["points_checked"] == 4
+        assert report["detail"]["min_rate"] < 0
+
+    def test_reports_a_finite_difference_gap(self, monkeypatch):
+        monkeypatch.setattr(zsflow.verify, "LYAPUNOV_FD_TOL", 0.0)
+        report = verify_lyapunov(20, 5)
+        assert report["detail"]["points_checked"] == 1
+        assert report["failures"][0].startswith("rate ")
+        assert " vs finite difference " in report["failures"][0]
+        assert report["detail"]["max_fd_gap"] > 0
+
+
+class TestEmbedding:
+    def test_matches_per_point_scope(self):
+        report = verify_embedding(30, 9)
+        rng = np.random.default_rng(9)
+        worst = 0.0
+        for _ in range(30):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 6))
+            g = random_game(rng, False, n, m)
+            for _ in range(10):
+                worst = max(worst, check_embedding(g, random_mixed_profile(rng, g)).max_residual)
+        assert report["passed"]
+        # One batch per game may round differently from one point at a time.
+        assert abs(report["detail"]["max_residual"] - worst) <= 1e-15
+
+    def test_stops_at_the_first_bad_point(self, monkeypatch):
+        real = zsflow.verify._embedding_residuals
+
+        def spiked(g, Z):
+            res = real(g, Z).copy()
+            res[2, 0] = 1.0
+            res[5, 0] = 2.0
+            return res
+
+        monkeypatch.setattr(zsflow.verify, "_embedding_residuals", spiked)
+        report = verify_embedding(5, 9)
+        assert report["failures"] == ["embedding residual 1 exceeds 1e-10"]
+        assert report["detail"]["max_residual"] == 1.0
+        assert report["checked"] == 1
+
+
+def test_symmetrisation_counts_pairs():
+    report = verify_symmetrisation(25, 8)
+    rng = np.random.default_rng(8)
+    pairs = 0
+    for _ in range(25):
+        n = int(rng.integers(1, 6))
+        m = int(rng.integers(1, 6))
+        random_game(rng, False, n, m)
+        pairs += (n * m) ** 2
+    assert report["passed"] and report["detail"] == {"pairs_checked": pairs}
+
