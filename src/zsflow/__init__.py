@@ -43,7 +43,6 @@ from .game import (
     MixedProfile,
     comparable,
     expected_payoff,
-    float_matrix,
     game_to_dict,
     game_to_json,
     load_game,

@@ -22,14 +22,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .game import (
-    Game,
-    MixedProfile,
-    Profile,
-    _check_shape,
-    float_matrix,
-    profile_masses,
-)
+from .game import Game, MixedProfile, Profile, _check_shape, profile_masses
 from .prefgraph import build_graph, node_mask, sink_component
 from .symmetrise import sym_float_matrix
 
@@ -108,7 +101,7 @@ class _Operator(NamedTuple):
 
 
 def _operator(g: Game) -> _Operator:
-    M = float_matrix(g)
+    M = g.float_view
     if g.symmetric:
         K, starts = M, [0]
     else:
@@ -203,7 +196,7 @@ def integrate_batch(
     full = _flow(op, _stack(starts), cfg)  # (samples, B, n+m)
     times = np.arange(cfg.steps + 1) * cfg.step
     # x M y over the first and last blocks; both are x for a symmetric game.
-    payoff = np.einsum("tbi,ij,tbj->tb", full[..., : g.n], float_matrix(g), full[..., -g.m :])
+    payoff = np.einsum("tbi,ij,tbj->tb", full[..., : g.n], g.float_view, full[..., -g.m :])
     mass = dist = None
     if inside is not None:
         mass = _mass_series(g, full, inside)
@@ -293,7 +286,7 @@ def _sink_rates(g: Game, inside: np.ndarray, X: np.ndarray) -> np.ndarray:
     the product masses X."""
     if inside.all():
         return np.zeros(len(X))
-    S = float_matrix(g) if g.symmetric else sym_float_matrix(g)
+    S = g.float_view if g.symmetric else sym_float_matrix(g)
     return ((X[:, inside] @ S[np.ix_(inside, ~inside)]) * X[:, ~inside]).sum(axis=1)
 
 

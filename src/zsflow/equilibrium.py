@@ -22,7 +22,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .game import Game, MixedProfile, SUPPORT_ATOL, float_matrix
+from .game import Game, MixedProfile, SUPPORT_ATOL
 from .prefgraph import PreferenceGraph, build_graph, is_strongly_connected, node_mask, sink_component
 
 # Best-response slack accepted when validating a candidate equilibrium, per
@@ -128,7 +128,7 @@ def _enumerate_equilibria(g: Game) -> tuple:
     skipped.  Support pairs run S1 outer, S2 inner, both lexicographic, and
     are solved in chunks of at most CHUNK_ENTRIES matrix entries per system.
     """
-    M = float_matrix(g)
+    M = g.float_view
     tol = _tolerance(M)
     n, m = M.shape
     found = []
@@ -201,7 +201,7 @@ def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
         # Any optimal strategy of one player is optimal for both, so x against
         # itself is an equilibrium of the symmetric game.
         z = MixedProfile((x,))
-        M = float_matrix(g)
+        M = g.float_view
         support = (_support(x),)
         value = float(x @ M @ x)
         profiles = frozenset(support[0])

@@ -3,8 +3,9 @@
 A game is a single payoff matrix M for the row player; the column player
 receives the negated payoffs.  A game may be flagged symmetric, in which case
 M must be square and anti-symmetric (M = -M^T) and both players share one
-strategy set.  Payoff entries are exact rationals so that every sign decision
-downstream (arc directions, ties) is exact.
+strategy set.  Payoffs are exact: integers over one common positive scale,
+so that every sign decision downstream (arc directions, ties) is an integer
+comparison.  Fractions appear only at the file boundary.
 
 Profiles are strategy indices: a pair ``(i, j)`` in the non-symmetric case, a
 single ``int`` in the symmetric case.
@@ -43,10 +44,8 @@ class IncomparableProfilesError(ValueError):
 def _as_fraction(value: object, where: str) -> Fraction:
     if isinstance(value, bool):
         raise GameFormatError(f"{where}: boolean is not a payoff")
-    if isinstance(value, int):
+    if isinstance(value, (int, Fraction)):
         return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
     if isinstance(value, str):
         try:
             return Fraction(value)
@@ -59,78 +58,99 @@ def _as_fraction(value: object, where: str) -> Fraction:
     raise GameFormatError(f"{where}: unsupported payoff type {type(value).__name__}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Game:
     """An n x m zero-sum game with exact rational payoffs.
 
     Attributes:
-        matrix: row-player payoffs, tuple of rows of Fractions.
+        int_view: read-only payoffs times int_scale, a 2-d integer array
+            (int64 or object dtype on input); stored as int64 if every entry
+            is below 2**62 in magnitude (so differences cannot overflow),
+            else as Python ints (object dtype).
+        int_scale: positive common denominator; (int_view, int_scale) is
+            reduced by their gcd, so equal games have equal fields.
         symmetric: whether both players share the row strategy set.
         row_labels: names for row strategies.
         col_labels: names for column strategies (same as rows if symmetric).
-        float_view: read-only float copy of matrix, built once; not compared.
-        int_view: read-only matrix times int_scale, the LCM of its denominators;
-            int64 if all entries are below 2**62 in magnitude (so differences
-            cannot overflow), else Python ints.  Built on first read.
+        float_view: read-only float copy of the payoffs, each entry rounded
+            once from its exact value; not compared.
     """
 
-    matrix: tuple[tuple[Fraction, ...], ...]
+    int_view: np.ndarray
+    int_scale: int
     symmetric: bool
     row_labels: tuple[str, ...]
     col_labels: tuple[str, ...]
-    float_view: np.ndarray = field(init=False, repr=False, compare=False)
+    float_view: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if not self.matrix or not self.matrix[0]:
+        I, scale = self.int_view, self.int_scale
+        if I.ndim != 2 or not I.size:
             raise GameFormatError("matrix must be non-empty")
-        width = len(self.matrix[0])
-        for row in self.matrix:
-            if len(row) != width:
-                raise GameFormatError("matrix rows must all have the same length")
-        if len(self.row_labels) != len(self.matrix):
+        n, m = I.shape
+        if len(self.row_labels) != n:
             raise GameFormatError("row_labels length does not match matrix")
-        if len(self.col_labels) != width:
+        if len(self.col_labels) != m:
             raise GameFormatError("col_labels length does not match matrix")
-        if len(set(self.row_labels)) != len(self.row_labels):
+        if len(set(self.row_labels)) != n:
             raise GameFormatError("row_labels must be distinct")
-        if len(set(self.col_labels)) != len(self.col_labels):
+        if len(set(self.col_labels)) != m:
             raise GameFormatError("col_labels must be distinct")
+        if scale < 1:
+            raise GameFormatError("int_scale must be a positive integer")
+        common = math.gcd(scale, int(np.gcd.reduce(I, axis=None))) if scale > 1 else 1
+        if common > 1:
+            I, scale = I // common, scale // common
+        peak = max(-int(I.min()), int(I.max()))
+        I = np.array(I, dtype=object if peak >= 2**62 else np.int64)
         if self.symmetric:
-            if len(self.matrix) != width:
+            if n != m:
                 raise GameFormatError("symmetric game requires a square matrix")
-            for i in range(width):
-                for j in range(width):
-                    if self.matrix[i][j] != -self.matrix[j][i]:
-                        raise GameFormatError(
-                            "symmetric game requires an anti-symmetric matrix "
-                            f"(M[{i}][{j}] != -M[{j}][{i}])"
-                        )
+            if not np.array_equal(I, -I.T):
+                i, j = np.argwhere(I != -I.T)[0]
+                raise GameFormatError(
+                    "symmetric game requires an anti-symmetric matrix "
+                    f"(M[{i}][{j}] != -M[{j}][{i}])"
+                )
             if self.row_labels != self.col_labels:
                 raise GameFormatError("symmetric game has a single label list")
-        view = np.array([[float(v) for v in row] for row in self.matrix])
+        # One rounding per entry, as float(Fraction(v, scale)): numpy's I / scale
+        # rounds twice once I or scale is past 2**53.
+        if peak < 2**53 and scale < 2**53:
+            view = I / scale
+        else:
+            view = np.array([[v / scale for v in row] for row in I.tolist()], dtype=float)
+        I.setflags(write=False)
         view.setflags(write=False)
+        object.__setattr__(self, "int_view", I)
+        object.__setattr__(self, "int_scale", scale)
         object.__setattr__(self, "float_view", view)
 
-    @cached_property
-    def int_scale(self) -> int:
-        return math.lcm(*(v.denominator for row in self.matrix for v in row))
+    def _key(self) -> tuple:
+        # The stored form is canonical, so the dtype follows from the values.
+        I = self.int_view
+        entries = I.tobytes() if I.dtype == np.int64 else tuple(I.ravel().tolist())
+        return (self.symmetric, self.row_labels, self.col_labels, self.int_scale, entries)
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, Game) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
-    def int_view(self) -> np.ndarray:
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The payoffs as rows of Fractions, built on first read."""
         scale = self.int_scale
-        ints = [[v.numerator * (scale // v.denominator) for v in row] for row in self.matrix]
-        big = max(abs(v) for row in ints for v in row) >= 2**62
-        exact = np.array(ints, dtype=object if big else np.int64)
-        exact.setflags(write=False)
-        return exact
+        return tuple(tuple(Fraction(v, scale) for v in row) for row in self.int_view.tolist())
 
     @property
     def n(self) -> int:
-        return len(self.matrix)
+        return self.int_view.shape[0]
 
     @property
     def m(self) -> int:
-        return len(self.matrix[0])
+        return self.int_view.shape[1]
 
     @property
     def mode(self) -> str:
@@ -166,19 +186,28 @@ def make_game(
     row_labels: Sequence[str] | None = None,
     col_labels: Sequence[str] | None = None,
 ) -> Game:
-    """Build a Game from int / 'a/b' string / Fraction entries."""
+    """Build a Game from int / 'a/b' string / Fraction entries, parsed once
+    into integers over the LCM of their denominators."""
     if mode not in ("symmetric", "non-symmetric"):
         raise GameFormatError(f"mode must be 'symmetric' or 'non-symmetric', got {mode!r}")
     try:
         rows = [list(r) for r in entries]
     except TypeError as exc:
         raise GameFormatError("matrix must be a list of rows") from exc
-    matrix = tuple(
-        tuple(_as_fraction(v, f"matrix[{i}][{j}]") for j, v in enumerate(row))
-        for i, row in enumerate(rows)
-    )
-    n = len(matrix)
-    m = len(matrix[0]) if matrix else 0
+    n = len(rows)
+    m = len(rows[0]) if rows else 0
+    if any(len(row) != m for row in rows):
+        raise GameFormatError("matrix rows must all have the same length")
+    flat = [v for row in rows for v in row]
+    scale = 1
+    if not set(map(type, flat)) <= {int}:
+        fracs = [_as_fraction(v, f"matrix[{k // m}][{k % m}]") for k, v in enumerate(flat)]
+        scale = math.lcm(*(f.denominator for f in fracs))
+        flat = [f.numerator * (scale // f.denominator) for f in fracs]
+    try:
+        ints = np.array(flat, dtype=np.int64)
+    except OverflowError:
+        ints = np.array(flat, dtype=object)
     symmetric = mode == "symmetric"
     if row_labels is None:
         row_labels = [f"s{i}" for i in range(n)]
@@ -186,7 +215,7 @@ def make_game(
         col_labels = list(row_labels) if symmetric else [f"t{j}" for j in range(m)]
     _check_labels(row_labels, "row_labels")
     _check_labels(col_labels, "col_labels")
-    return Game(matrix, symmetric, tuple(row_labels), tuple(col_labels))
+    return Game(ints.reshape(n, m), scale, symmetric, tuple(row_labels), tuple(col_labels))
 
 
 def _check_labels(labels: Sequence[str], where: str) -> None:
@@ -216,15 +245,7 @@ def parse_game(text: str) -> Game:
         raise GameFormatError("missing 'mode'")
     if "matrix" not in data or not isinstance(data["matrix"], list):
         raise GameFormatError("missing or malformed 'matrix'")
-    mode = data["mode"]
-    if mode not in ("symmetric", "non-symmetric"):
-        raise GameFormatError(f"mode must be 'symmetric' or 'non-symmetric', got {mode!r}")
-    row_labels = data.get("row_labels")
-    col_labels = data.get("col_labels")
-    if mode == "symmetric" and row_labels is not None and col_labels is not None:
-        if list(row_labels) != list(col_labels):
-            raise GameFormatError("symmetric game has a single label list")
-    return make_game(data["matrix"], mode, row_labels, col_labels)
+    return make_game(data["matrix"], data["mode"], data.get("row_labels"), data.get("col_labels"))
 
 
 def load_game(path: str) -> Game:
@@ -232,14 +253,11 @@ def load_game(path: str) -> Game:
         return parse_game(fh.read())
 
 
-def _fraction_json(v: Fraction) -> object:
-    return int(v) if v.denominator == 1 else str(v)
-
-
 def game_to_dict(g: Game) -> dict:
+    """The JSON game format: integer payoffs as ints, the rest as 'a/b' strings."""
     return {
         "mode": g.mode,
-        "matrix": [[_fraction_json(v) for v in row] for row in g.matrix],
+        "matrix": [[int(v) if v.denominator == 1 else str(v) for v in row] for row in g.matrix],
         "row_labels": list(g.row_labels),
         "col_labels": list(g.col_labels),
     }
@@ -281,11 +299,12 @@ def weight(g: Game, p: Profile, q: Profile) -> Fraction:
         raise IncomparableProfilesError(
             f"W_(p,q) is undefined for incomparable profiles {p!r}, {q!r}"
         )
+    I = g.int_view
     if g.symmetric:
-        return g.matrix[p][q]
-    if who == 1:
-        return g.matrix[p[0]][p[1]] - g.matrix[q[0]][q[1]]
-    return g.matrix[q[0]][q[1]] - g.matrix[p[0]][p[1]]
+        diff = I[p, q]
+    else:
+        diff = I[p] - I[q] if who == 1 else I[q] - I[p]
+    return Fraction(int(diff), g.int_scale)
 
 
 @dataclass(frozen=True, eq=False)
@@ -368,15 +387,10 @@ def _check_shape(g: Game, z: MixedProfile) -> None:
             raise ValueError("mixed profile does not match the game dimensions")
 
 
-def float_matrix(g: Game) -> np.ndarray:
-    """Float copy of the payoff matrix (read-only, built with the game)."""
-    return g.float_view
-
-
 def expected_payoff(g: Game, z: MixedProfile) -> float:
     """Row player's bilinear payoff at z (x M x for symmetric games)."""
     _check_shape(g, z)
-    M = float_matrix(g)
+    M = g.float_view
     if g.symmetric:
         x = z.vectors[0]
         return float(x @ M @ x)

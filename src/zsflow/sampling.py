@@ -22,12 +22,9 @@ def random_game(
     """
     if symmetric:
         K = rng.integers(low, high + 1, size=(n, n))
-        entries = K - K.T
-        return make_game([[int(v) for v in row] for row in entries], "symmetric")
-    if m is None:
-        m = n
-    entries = rng.integers(low, high + 1, size=(n, m))
-    return make_game([[int(v) for v in row] for row in entries], "non-symmetric")
+        return make_game((K - K.T).tolist(), "symmetric")
+    entries = rng.integers(low, high + 1, size=(n, n if m is None else m))
+    return make_game(entries.tolist(), "non-symmetric")
 
 
 def _simplex_point(rng: np.random.Generator, size: int, interior: bool) -> np.ndarray:

@@ -14,11 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 import numpy as np
 
-from .game import Game, GameFormatError, Profile, float_matrix
+from .game import Game, GameFormatError, Profile
 from .prefgraph import build_graph
 
 
@@ -26,18 +25,13 @@ from .prefgraph import build_graph
 class SymmetrisedGame:
     """The symmetrised matrix of base, held as ints: S times base.int_scale,
     one (nm, nm) array in profile order, int64 when the base game's integer
-    view is (else Python ints).  matrix, the rows of Fractions, is built on
-    first use.  Symmetrised games are equal when their bases and matrices are.
+    view is (else Python ints).  Symmetrised games are equal when their bases
+    and matrices are.
     """
 
     base: Game
     ints: np.ndarray
     profile_order: tuple[tuple[int, int], ...]
-
-    @cached_property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        scale = self.base.int_scale
-        return tuple(tuple(Fraction(v, scale) for v in row) for row in self.ints.tolist())
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SymmetrisedGame):
@@ -51,7 +45,7 @@ class SymmetrisedGame:
     def as_game(self) -> Game:
         """The symmetrised matrix as a symmetric-mode Game (labels 'r,c')."""
         labels = tuple(self.base.profile_name(p) for p in self.profile_order)
-        return Game(self.matrix, True, labels, labels)
+        return Game(self.ints, self.base.int_scale, True, labels, labels)
 
 
 def _check_nonsymmetric(g: Game) -> None:
@@ -76,7 +70,7 @@ def symmetrise(g: Game) -> SymmetrisedGame:
 def sym_float_matrix(g: Game) -> np.ndarray:
     """Float symmetrised matrix of g (read-only), broadcast from the float view."""
     _check_nonsymmetric(g)
-    arr = _pair_differences(float_matrix(g))
+    arr = _pair_differences(g.float_view)
     arr.setflags(write=False)
     return arr
 

@@ -20,7 +20,7 @@ from .dynamics import (
     _sink_rates,
 )
 from .equilibrium import essential_subgame, solve_nash, verify_preference_nash
-from .game import Game, float_matrix, game_to_dict
+from .game import Game, game_to_dict
 from .prefgraph import (
     SinkUniquenessError,
     build_graph,
@@ -205,7 +205,7 @@ def verify_nash(count: int, seed: int) -> dict:
         report["checked"] += 1
         pg = build_graph(g)
         cert = solve_nash(g, pg)
-        M = float_matrix(g)
+        M = g.float_view
         if g.symmetric:
             x = cert.equilibrium.vectors[0]
             ok = abs(cert.game_value) <= NASH_TOL and np.max(M @ x) <= NASH_TOL

@@ -13,7 +13,7 @@ from itertools import combinations
 
 import numpy as np
 
-from zsflow import Game, float_matrix
+from zsflow import Game
 from zsflow.equilibrium import _is_equilibrium, _tolerance
 from zsflow.game import SUPPORT_ATOL
 
@@ -62,7 +62,7 @@ def solve_candidate(M: np.ndarray, S1, S2, tol: float) -> tuple | None:
 
 def enumerate_equilibria(g: Game) -> tuple:
     """(x tuple, y tuple, value) of every equilibrium found, in enumeration order."""
-    M = float_matrix(g)
+    M = g.float_view
     tol = _tolerance(M)
     n, m = M.shape
     found = []

@@ -13,7 +13,6 @@ import numpy as np
 from zsflow import (
     IntegratorConfig,
     build_graph,
-    float_matrix,
     integrate,
     integrate_batch,
     mass_monotone,
@@ -78,7 +77,7 @@ def test_criterion_02_diamond_attractor_report(games_dir):
     with open(shipped, encoding="utf-8") as fh:
         shipped_matrix = json.load(fh)["matrix"]
     matrix_ok &= shipped_matrix == [
-        [int(v) for v in row] for row in np.asarray(float_matrix(found)).tolist()
+        [int(v) for v in row] for row in np.asarray(found.float_view).tolist()
     ]
     matrix_ok &= shipped_matrix[0][2] == 3
     attractor_ok = report["content"]["maximal_subgames"] == [

@@ -19,7 +19,8 @@ from zsflow.cli import main
 # analyze outputs recorded with the Fraction per-pair graph builder, the
 # profile-keyed Tarjan and the 2^rows content scan (see graph_oracle.py);
 # verify outputs recorded with the Fraction symmetrisation check and the
-# per-point Lyapunov and embedding loops, before the margin keys existed.
+# per-point Lyapunov and embedding loops, before the margin keys existed;
+# symmetrise outputs recorded when Game stored its payoffs as Fraction rows.
 GOLDEN = Path(__file__).resolve().parent / "golden"
 MARGINS = {"symmetrisation": ("pairs_checked",), "lyapunov": ("min_rate", "max_fd_gap")}
 
@@ -359,6 +360,16 @@ class TestSymmetrise:
         # The emitted file is itself analyzable.
         code, _, _ = run_cli(capsys, "analyze", str(out_path))
         assert code == 0
+
+    @pytest.mark.parametrize("stem", ["matching_pennies", "diamond", "rational"])
+    def test_output_matches_golden(self, capsys, games_dir, tmp_path, monkeypatch, stem):
+        game = GOLDEN / "rational.json" if stem == "rational" else games_dir / f"{stem}.json"
+        shutil.copy(game, tmp_path / f"{stem}.json")
+        monkeypatch.chdir(tmp_path)
+        out_name = f"{stem}.symmetrise.json"
+        code, _, _ = run_cli(capsys, "symmetrise", f"{stem}.json", "--out", out_name)
+        assert code == 0
+        assert (tmp_path / out_name).read_bytes() == (GOLDEN / out_name).read_bytes()
 
     def test_rejects_symmetric_input(self, capsys, games_dir, tmp_path):
         code, _, err = run_cli(

@@ -11,7 +11,6 @@ from zsflow import (
     build_graph,
     certificate_to_dict,
     essential_subgame,
-    float_matrix,
     make_game,
     rhs,
     sink_component,
@@ -63,7 +62,7 @@ class TestCanonicalEquilibria:
         assert np.allclose(cert.equilibrium.vectors[1], [0.0, 1.0], atol=1e-12)
         assert abs(cert.game_value - 1.0) < 1e-12
         assert cert.support == ((0,), (1,))
-        assert abs(grid_value_2x2(float_matrix(g)) - 1.0) < 1e-3
+        assert abs(grid_value_2x2(g.float_view) - 1.0) < 1e-3
 
     def test_one_by_one(self):
         cert = solve_nash(make_game([[5]], "non-symmetric"))
@@ -147,7 +146,7 @@ class TestMinimaxConsistency:
         rng = np.random.default_rng(19)
         for g in game_corpus(rng, 60):
             cert = solve_nash(g)
-            M = float_matrix(g)
+            M = g.float_view
             if g.symmetric:
                 x = cert.equilibrium.vectors[0]
                 assert abs(cert.game_value) < 1e-9

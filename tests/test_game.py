@@ -7,9 +7,12 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zsflow import (
+    Game,
     GameFormatError,
     IncomparableProfilesError,
+    build_graph,
     comparable,
+    content_of,
     expected_payoff,
     game_to_json,
     make_game,
@@ -18,9 +21,14 @@ from zsflow import (
     product_mass,
     profile_masses,
     pure_profile,
+    random_game,
+    sink_component,
+    solve_nash,
     uniform_profile,
     weight,
 )
+
+from symmetrise_oracle import identity_corpus
 
 
 def nonsym_games(max_side=4):
@@ -83,11 +91,45 @@ class TestParsing:
         assert g.int_view.tolist() == [[3, -4], [18, 5]]
         assert g == make_game([["3/6", "-4/6"], ["18/6", "5/6"]])
 
-    def test_integer_view_built_on_first_read(self):
+    def test_fraction_rows_built_on_first_read(self):
         g = make_game([["1/2", 3], [-1, "1/3"]])
-        assert "int_view" not in vars(g) and "int_scale" not in vars(g)
-        assert g.int_view.tolist() == [[3, 18], [-6, 2]]
-        assert vars(g)["int_scale"] == 6
+        assert "matrix" not in vars(g)
+        assert g.matrix == ((Fraction(1, 2), 3), (-1, Fraction(1, 3)))
+        assert "matrix" in vars(g)
+
+    def test_pipeline_builds_no_fraction_rows(self):
+        g = random_game(np.random.default_rng(3), False, 4, 5)
+        pg = build_graph(g)
+        content_of(sink_component(pg), g)
+        solve_nash(g, pg)
+        assert "matrix" not in vars(g)
+
+    def test_float_view_rounds_once(self):
+        # Past 2**53 numpy's I / scale rounds the numerator first: 3.843071682022823e+17.
+        games = identity_corpus(41, 60) + [make_game([["1152921504606847012/3", 1]])]
+        for g in games:
+            expected = np.array([[float(v) for v in row] for row in g.matrix])
+            assert g.float_view.tobytes() == expected.tobytes()
+        assert games[-1].float_view[0, 0] == 3.843071682022824e17
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ([["1/2"]], [["2/4"]]),
+            ([[3, "-6/4"]], [["6/2", Fraction(-3, 2)]]),
+            ([[2**70, "1/3"]], [["3541774862152233910272/3", "2/6"]]),
+        ],
+    )
+    def test_equal_games_equal_hashes(self, a, b):
+        assert make_game(a) == make_game(b)
+        assert hash(make_game(a)) == hash(make_game(b))
+
+    def test_stored_reduced(self):
+        g = Game(np.array([[4, -6]]), 8, False, ("r",), ("a", "b"))
+        assert (g.int_view.tolist(), g.int_scale) == ([[2, -3]], 4)
+        assert g == make_game([["1/2", "-3/4"]], "non-symmetric", ["r"], ["a", "b"])
+        big = Game(np.array([[2**62, 2]], dtype=object), 2, False, ("r",), ("a", "b"))
+        assert big.int_view.dtype == np.int64 and big.int_scale == 1
 
     def test_symmetric_requires_anti_symmetry(self):
         with pytest.raises(GameFormatError):

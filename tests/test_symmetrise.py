@@ -49,12 +49,12 @@ def small_nonsym(draw):
 
 
 def test_mp_values(mp):
-    sg = symmetrise(mp)
+    S = symmetrise(mp).as_game().matrix
     # incomparable diagonal pair (H,H) vs (T,T): M[H][T] - M[T][H] = -1 - (-1)
-    assert sg.matrix[0][3] == 0
+    assert S[0][3] == 0
     # comparable pair (H,H) vs (H,T) agrees with the weight function
-    assert sg.matrix[0][1] == Fraction(-2)
-    assert sg.matrix[0][0] == 0
+    assert S[0][1] == Fraction(-2)
+    assert S[0][0] == 0
 
 
 def test_row_major_indexing(mp):
@@ -71,22 +71,23 @@ def test_symmetric_input_rejected(rps):
 @given(small_nonsym())
 @settings(max_examples=40, deadline=None)
 def test_anti_symmetry(g):
-    sg = symmetrise(g)
-    size = len(sg.matrix)
+    S = symmetrise(g).as_game().matrix
+    size = len(S)
     for a in range(size):
         for b in range(size):
-            assert sg.matrix[a][b] == -sg.matrix[b][a]
+            assert S[a][b] == -S[b][a]
 
 
 @given(small_nonsym())
 @settings(max_examples=25, deadline=None)
 def test_restriction_to_comparable_pairs(g):
     sg = symmetrise(g)
+    S = sg.as_game().matrix
     order = sg.profile_order
     for a, p in enumerate(order):
         for b, q in enumerate(order):
             if comparable(g, p, q) in (1, 2):
-                assert sg.matrix[a][b] == weight(g, p, q)
+                assert S[a][b] == weight(g, p, q)
 
 
 def test_weight_identity_mp(mp):
@@ -123,6 +124,19 @@ def test_as_game_round_trip(mp):
     assert sink  # non-empty; contents checked elsewhere
 
 
+@pytest.mark.parametrize(
+    "entries, scale",
+    [([["1/2", "1/2"], ["1/2", "1/2"]], 1), ([["1/2", "3/2"], ["5/2", "-1/4"]], 4)],
+)
+def test_as_game_reduced_round_trip(entries, scale):
+    # The symmetrised entries of the first base are all 0, which a scale of 2
+    # would hold as well; the stored game must be the reduced one the file gives.
+    g2 = symmetrise(make_game(entries)).as_game()
+    assert g2.int_scale == scale
+    again = parse_game(game_to_json(g2))
+    assert again == g2 and hash(again) == hash(g2)
+
+
 class TestAgainstOracle:
     """The integer-array symmetrisation and weight-identity check against the
     per-pair Fraction constructions."""
@@ -130,7 +144,7 @@ class TestAgainstOracle:
     def test_seeded_corpus(self):
         games = identity_corpus(31, 200)
         for g in games:
-            assert symmetrise(g).matrix == oracle_symmetrise(g)
+            assert symmetrise(g).as_game().matrix == oracle_symmetrise(g)
             report = check_weight_identity(g)
             assert (report.pairs_checked, report.violations) == oracle_weight_identity(g)
             assert report.ok
