@@ -28,12 +28,7 @@ from .dynamics import (
     write_trajectory_csv,
     write_trajectory_svg,
 )
-from .equilibrium import (
-    NoEquilibriumError,
-    certificate_to_dict,
-    solve_nash,
-    verify_preference_nash,
-)
+from .equilibrium import NoEquilibriumError, certificate_to_dict, solve_nash
 from .game import (
     Game,
     GameFormatError,
@@ -128,7 +123,7 @@ def _analyze(args) -> int:
     sink = sink_component(pg)  # raises SinkUniquenessError on violation
     cont = content_of(sink, g)
     cert = solve_nash(g, pg)
-    nash_check = verify_preference_nash(g, pg)
+    nash_check = cert.essential
     arcs = int(pg.src.size)
     ties = int(np.count_nonzero(pg.weights == 0)) // 2
     report = {

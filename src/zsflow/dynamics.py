@@ -38,7 +38,6 @@ class IntegratorConfig:
     step: float = 0.01
     horizon: float = 200.0
     method: str = "rk4-log"
-    renormalize: bool = True
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.step) and math.isfinite(self.horizon)):
@@ -51,6 +50,8 @@ class IntegratorConfig:
             raise ValueError("horizon must be non-negative")
         if self.horizon > 0 and not (self.step < self.horizon):
             raise ValueError("step must be smaller than horizon")
+        if not math.isfinite(self.horizon / self.step):
+            raise ValueError("horizon / step overflows the step count")
         if self.method not in ("rk4-log", "rk4-direct"):
             raise ValueError(f"unknown method {self.method!r}")
 
@@ -256,9 +257,8 @@ def _run_direct(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndar
             raise IntegrationError(
                 f"negative coordinate at step {k + 1}; reduce the step size"
             )
-        if cfg.renormalize:
-            np.clip(Z, 0.0, None, out=Z)
-            Z /= _per_block(op, np.add, Z)
+        np.clip(Z, 0.0, None, out=Z)
+        Z /= _per_block(op, np.add, Z)
         out[k + 1] = Z
     return out
 

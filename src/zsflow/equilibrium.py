@@ -5,7 +5,10 @@ For every pair of equal-cardinality supports the indifference conditions give
 a square linear system per player; solutions that satisfy the best-response
 inequalities within tolerance are equilibria.  Every extreme optimal strategy
 arises from such a square subsystem, so the union of the supports found is
-the full set of strategies used by any equilibrium.
+the full set of strategies used by any equilibrium: the essential subgame.
+solve_nash runs the enumeration once per game and from it reports the
+selected equilibrium, the essential subgame, and the sink-membership and
+strong-connectivity verdicts of both against the preference graph.
 
 The enumeration is batched per support size: the systems of a chunk of
 support pairs are stacked and solved by one LAPACK call, and the chunk size
@@ -17,8 +20,7 @@ the limit beyond that.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -43,7 +45,8 @@ class NashCertificate:
 
     support holds the per-player strategy index sets (a single set for
     symmetric games); in_sink and support_strongly_connected refer to the
-    product of those sets inside the preference graph.
+    product of those sets inside the preference graph.  essential holds the
+    same verdicts for the essential subgame.
     """
 
     equilibrium: MixedProfile
@@ -51,6 +54,7 @@ class NashCertificate:
     support: tuple[tuple[int, ...], ...]
     in_sink: bool
     support_strongly_connected: bool
+    essential: PreferenceNashReport
 
 
 @dataclass(frozen=True)
@@ -120,7 +124,6 @@ def _is_equilibrium(M: np.ndarray, x: np.ndarray, y: np.ndarray, v: float, tol: 
     return abs(float(x @ M @ y) - v) <= tol
 
 
-@lru_cache(maxsize=128)
 def _enumerate_equilibria(g: Game) -> tuple:
     """All equilibria found over equal-cardinality supports, in enumeration order.
 
@@ -188,8 +191,26 @@ def _select(eqs: tuple) -> tuple:
     return min(eqs, key=rank)
 
 
+def _union(g: Game, eqs: tuple) -> tuple[tuple[int, ...], ...]:
+    """Per-player unions of the supports of eqs (one set for symmetric games)."""
+    rows: set[int] = set()
+    cols: set[int] = set()
+    for x, y, _ in eqs:
+        rows.update(_support(np.array(x)))
+        cols.update(_support(np.array(y)))
+    if g.symmetric:
+        return (tuple(sorted(rows | cols)),)
+    return (tuple(sorted(rows)), tuple(sorted(cols)))
+
+
+def _profiles(g: Game, sets: tuple[tuple[int, ...], ...]) -> frozenset:
+    """The pure profiles of the product of per-player index sets."""
+    return frozenset(sets[0]) if g.symmetric else frozenset(product(*sets))
+
+
 def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
-    """Equilibrium with deterministic tie-breaking, certified against the graph.
+    """Equilibrium with deterministic tie-breaking, certified against the graph
+    together with the essential subgame, all from one enumeration.
 
     pg is the preference graph of g if the caller has built it already.
     """
@@ -201,38 +222,41 @@ def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
         # Any optimal strategy of one player is optimal for both, so x against
         # itself is an equilibrium of the symmetric game.
         z = MixedProfile((x,))
-        M = g.float_view
         support = (_support(x),)
-        value = float(x @ M @ x)
-        profiles = frozenset(support[0])
+        value = float(x @ g.float_view @ x)
     else:
         z = MixedProfile((x, y))
         support = (_support(x), _support(y))
         value = v
-        profiles = frozenset((i, j) for i in support[0] for j in support[1])
     if pg is None:
         pg = build_graph(g)
     sink = sink_component(pg)
+    ess = _union(g, eqs)
+    chosen, essential = _profiles(g, support), _profiles(g, ess)
+    inside = node_mask(pg, essential)
+    ties = int(np.count_nonzero((pg.weights == 0) & inside[pg.src] & inside[pg.dst]))
+    connected = is_strongly_connected(pg, essential)
     return NashCertificate(
         equilibrium=z,
         game_value=value,
         support=support,
-        in_sink=profiles <= sink,
-        support_strongly_connected=is_strongly_connected(pg, profiles),
+        in_sink=chosen <= sink,
+        # The selected support is usually the whole essential subgame.
+        support_strongly_connected=(
+            connected if support == ess else is_strongly_connected(pg, chosen)
+        ),
+        essential=PreferenceNashReport(
+            subgame=ess,
+            in_sink=essential <= sink,
+            strongly_connected=connected,
+            zero_weight_arc_pairs=ties // 2,
+        ),
     )
 
 
 def essential_subgame(g: Game) -> tuple[tuple[int, ...], ...]:
     """Product of the unions of equilibrium supports over all equilibria found."""
-    eqs = _enumerate_equilibria(g)
-    rows: set[int] = set()
-    cols: set[int] = set()
-    for x, y, _ in eqs:
-        rows.update(_support(np.array(x)))
-        cols.update(_support(np.array(y)))
-    if g.symmetric:
-        return (tuple(sorted(rows | cols)),)
-    return (tuple(sorted(rows)), tuple(sorted(cols)))
+    return _union(g, _enumerate_equilibria(g))
 
 
 def verify_preference_nash(g: Game, pg: PreferenceGraph | None = None) -> PreferenceNashReport:
@@ -241,22 +265,7 @@ def verify_preference_nash(g: Game, pg: PreferenceGraph | None = None) -> Prefer
 
     pg is the preference graph of g if the caller has built it already.
     """
-    ess = essential_subgame(g)
-    if g.symmetric:
-        profiles = frozenset(ess[0])
-    else:
-        profiles = frozenset((i, j) for i in ess[0] for j in ess[1])
-    if pg is None:
-        pg = build_graph(g)
-    sink = sink_component(pg)
-    inside = node_mask(pg, profiles)
-    ties = int(np.count_nonzero((pg.weights == 0) & inside[pg.src] & inside[pg.dst]))
-    return PreferenceNashReport(
-        subgame=ess,
-        in_sink=profiles <= sink,
-        strongly_connected=is_strongly_connected(pg, profiles),
-        zero_weight_arc_pairs=ties // 2,
-    )
+    return solve_nash(g, pg).essential
 
 
 def certificate_to_dict(cert: NashCertificate, g: Game) -> dict:

@@ -211,14 +211,16 @@ def make_game(
     symmetric = mode == "symmetric"
     if row_labels is None:
         row_labels = [f"s{i}" for i in range(n)]
+    _check_labels(row_labels, "row_labels")
     if col_labels is None:
         col_labels = list(row_labels) if symmetric else [f"t{j}" for j in range(m)]
-    _check_labels(row_labels, "row_labels")
     _check_labels(col_labels, "col_labels")
     return Game(ints.reshape(n, m), scale, symmetric, tuple(row_labels), tuple(col_labels))
 
 
 def _check_labels(labels: Sequence[str], where: str) -> None:
+    if not isinstance(labels, (list, tuple)):
+        raise GameFormatError(f"{where} must be a list of strings")
     for lab in labels:
         if not isinstance(lab, str) or not lab:
             raise GameFormatError(f"{where}: labels must be non-empty strings")

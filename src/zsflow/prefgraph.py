@@ -51,9 +51,6 @@ class PreferenceGraph:
     symmetric: bool
     node_names: tuple[str, ...]
 
-    def name_of(self, p: Profile) -> str:
-        return self.node_names[self.nodes.index(p)]
-
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
         """The arcs as Arc tuples with Fraction weights, built on first use."""
@@ -83,7 +80,6 @@ class SccPartition:
     """
 
     components: tuple[frozenset, ...]
-    component_of: dict
     edges: frozenset  # (src component, dst component), src != dst
     sinks: tuple[int, ...] = field(default=())
 
@@ -186,7 +182,6 @@ def _condense(pg: PreferenceGraph) -> SccPartition:
     codes = codes[np.diff(codes, prepend=-1) != 0]
     return SccPartition(
         tuple(frozenset(c) for c in members),
-        dict(zip(pg.nodes, comp)),
         frozenset(zip((codes // found).tolist(), (codes % found).tolist())),
         tuple(np.flatnonzero(np.bincount(cs[cross], minlength=found) == 0).tolist()),
     )

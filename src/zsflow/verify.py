@@ -19,15 +19,9 @@ from .dynamics import (
     _profile_masses,
     _sink_rates,
 )
-from .equilibrium import essential_subgame, solve_nash, verify_preference_nash
+from .equilibrium import solve_nash
 from .game import Game, game_to_dict
-from .prefgraph import (
-    SinkUniquenessError,
-    build_graph,
-    is_strongly_connected,
-    node_mask,
-    sink_component,
-)
+from .prefgraph import SinkUniquenessError, build_graph, node_mask, sink_component
 from .sampling import game_corpus, random_game, random_interior_stack
 from .symmetrise import check_weight_identity, symmetrise
 
@@ -203,8 +197,7 @@ def verify_nash(count: int, seed: int) -> dict:
     rng = np.random.default_rng(seed)
     for g in game_corpus(rng, count):
         report["checked"] += 1
-        pg = build_graph(g)
-        cert = solve_nash(g, pg)
+        cert = solve_nash(g)
         M = g.float_view
         if g.symmetric:
             x = cert.equilibrium.vectors[0]
@@ -219,23 +212,14 @@ def verify_nash(count: int, seed: int) -> dict:
         if not ok:
             _fail(report, g, "certificate fails minimax consistency")
             break
-        nash_check = verify_preference_nash(g, pg)
-        if not nash_check.passed:
+        ess = cert.essential
+        if not ess.passed:
             _fail(
                 report,
                 g,
-                f"essential subgame verdicts in_sink={nash_check.in_sink} "
-                f"strongly_connected={nash_check.strongly_connected}",
+                f"essential subgame verdicts in_sink={ess.in_sink} "
+                f"strongly_connected={ess.strongly_connected}",
             )
-            break
-        ess = essential_subgame(g)
-        full = (
-            len(ess[0]) == g.n
-            if g.symmetric
-            else len(ess[0]) == g.n and len(ess[1]) == g.m
-        )
-        if full and not is_strongly_connected(pg, pg.nodes):
-            _fail(report, g, "fully mixed essential subgame but graph not strongly connected")
             break
     return report
 

@@ -111,7 +111,7 @@ def oracle_scc(nodes: tuple, arcs: Iterable[Arc]) -> SccPartition:
     )
     has_out = {src for src, _ in edges}
     sinks = tuple(k for k in range(len(ordered)) if k not in has_out)
-    return SccPartition(ordered, component_of, edges, sinks)
+    return SccPartition(ordered, edges, sinks)
 
 
 def oracle_maximal_subgames(H: Iterable[Profile], g: Game):

@@ -119,6 +119,31 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, "analyze", str(games_dir / "diamond.json"))
         assert code == 0 and len(calls) == 1
 
+    @pytest.mark.parametrize(
+        "stem", ["diamond", "matching_pennies", "rock_paper_scissors", "tie_heavy"]
+    )
+    def test_enumerates_once(self, capsys, games_dir, monkeypatch, stem):
+        calls = []
+        enumerate_equilibria = zsflow.equilibrium._enumerate_equilibria
+
+        def counted(g):
+            calls.append(g)
+            return enumerate_equilibria(g)
+
+        monkeypatch.setattr(zsflow.equilibrium, "_enumerate_equilibria", counted)
+        game = GOLDEN / "tie_heavy.json" if stem == "tie_heavy" else games_dir / f"{stem}.json"
+        code, _, _ = run_cli(capsys, "analyze", str(game), "--format", "json")
+        assert code == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize("labels", ["5", '"ab"'])
+    @pytest.mark.parametrize("key", ["row_labels", "col_labels"])
+    def test_label_list_not_a_list(self, capsys, tmp_path, key, labels):
+        bad = tmp_path / "bad.json"
+        bad.write_text(f'{{"mode": "non-symmetric", "matrix": [[1, 2], [3, 4]], "{key}": {labels}}}')
+        code, out, err = run_cli(capsys, "analyze", str(bad))
+        assert code == 2 and out == ""
+        assert err == f"error: {key} must be a list of strings\n"
+
     @pytest.mark.parametrize("dot", [False, True])
     def test_condenses_once_and_builds_arcs_only_for_dot(
         self, capsys, games_dir, tmp_path, monkeypatch, dot
@@ -280,6 +305,16 @@ class TestSimulate:
         )
         assert code == 2
         assert err.startswith("error: out of memory") and err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_overflowing_step_count_exits_2(self, capsys, games_dir, tmp_path):
+        # horizon / step is inf: rejected by the config, before any allocation.
+        code, out, err = run_cli(
+            capsys, "simulate", str(games_dir / "matching_pennies.json"), "--horizon", "1e306",
+            "--step", "0.001", "--out-dir", str(tmp_path),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: horizon / step overflows the step count\n"
         assert not list(tmp_path.iterdir())
 
     def test_unstable_direct_run_exits_3(self, capsys, tmp_path):

@@ -69,7 +69,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = IntegratorConfig()
         assert cfg.step == 0.01 and cfg.horizon == 200.0
-        assert cfg.method == "rk4-log" and cfg.renormalize
+        assert cfg.method == "rk4-log"
 
     def test_step_counts(self):
         assert IntegratorConfig(step=0.01, horizon=200.0).steps == 20000
@@ -89,6 +89,7 @@ class TestConfig:
             {"horizon": math.inf},
             {"horizon": math.nan},
             {"step": math.nan},
+            {"step": 0.001, "horizon": 1e306},  # horizon / step is inf
         ],
     )
     def test_rejects_bad_settings(self, kwargs):

@@ -7,10 +7,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import zsflow.equilibrium
 from zsflow import (
     build_graph,
     certificate_to_dict,
     essential_subgame,
+    is_strongly_connected,
     make_game,
     rhs,
     sink_component,
@@ -117,7 +119,7 @@ class TestBatchedEnumeration:
         # singular one and raises; the chunk is then solved one system at a time.
         monkeypatch.setattr(np.linalg, "slogdet", lambda A: (np.ones(len(A)), None))
         for g in oracle_corpus(62, 24):
-            assert _enumerate_equilibria.__wrapped__(g) == oracle_equilibria(g), g.matrix
+            assert _enumerate_equilibria(g) == oracle_equilibria(g), g.matrix
 
     def test_memory_bounded_by_chunk(self):
         # One chunk holds a few stacks of CHUNK_ENTRIES floats; solving all
@@ -126,7 +128,7 @@ class TestBatchedEnumeration:
         g = make_game(rng.integers(-9, 10, (9, 9)).tolist(), "non-symmetric")
         tracemalloc.start()
         try:
-            _enumerate_equilibria.__wrapped__(g)
+            _enumerate_equilibria(g)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -208,6 +210,48 @@ class TestGraphCertification:
         rng = np.random.default_rng(47)
         for g in game_corpus(rng, 60):
             assert verify_preference_nash(g).passed
+
+    def test_certificate_carries_the_essential_report(self):
+        # One enumeration gives both verdicts; each is checked here against
+        # its own product set, and the tie count against a per-arc scan.
+        for g in oracle_corpus(64, 120):
+            pg = build_graph(g)
+            sink = sink_component(pg)
+            cert = solve_nash(g, pg)
+            ess = cert.essential
+            assert ess == verify_preference_nash(g) and ess.subgame == essential_subgame(g)
+            for sets, in_sink, connected in (
+                (cert.support, cert.in_sink, cert.support_strongly_connected),
+                (ess.subgame, ess.in_sink, ess.strongly_connected),
+            ):
+                prods = set(sets[0]) if g.symmetric else {(i, j) for i in sets[0] for j in sets[1]}
+                assert in_sink == (prods <= sink)
+                assert connected == is_strongly_connected(pg, prods)
+            ties = sum(
+                a.weight == 0 and a.src in prods and a.dst in prods for a in pg.arcs
+            )
+            assert ess.zero_weight_arc_pairs * 2 == ties
+
+    def test_connectivity_checked_once_when_support_is_essential(
+        self, mp, rps, diamond, monkeypatch
+    ):
+        calls = []
+
+        def counted(pg, subset):
+            calls.append(subset)
+            return is_strongly_connected(pg, subset)
+
+        monkeypatch.setattr(zsflow.equilibrium, "is_strongly_connected", counted)
+        for g in (mp, rps, diamond):
+            cert = solve_nash(g)
+            assert cert.support == cert.essential.subgame and len(calls) == 1
+            calls.clear()
+        # All-zero 2x2: the selected support is one profile, the essential
+        # subgame all four, so each product set is checked.
+        cert = solve_nash(make_game([[0, 0], [0, 0]], "non-symmetric"))
+        assert cert.support == ((0,), (0,)) and cert.essential.subgame == ((0, 1), (0, 1))
+        assert cert.support_strongly_connected and cert.essential.strongly_connected
+        assert sorted(map(len, calls)) == [1, 4]
 
 
 class TestSerialisation:

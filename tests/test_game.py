@@ -170,6 +170,20 @@ class TestParsing:
         with pytest.raises(GameFormatError):
             make_game([[1, 2]], "non-symmetric", ["r"], ["x", "x"])
 
+    @pytest.mark.parametrize("mode", ["non-symmetric", "symmetric"])
+    @pytest.mark.parametrize("labels", [5, "ab", {"a": 0, "b": 1}])
+    def test_label_lists_must_be_lists(self, mode, labels):
+        # A string would otherwise pass as one label per character.
+        with pytest.raises(GameFormatError, match="row_labels must be a list"):
+            make_game([[0, 1], [-1, 0]], mode, labels)
+        if mode == "non-symmetric":
+            with pytest.raises(GameFormatError, match="col_labels must be a list"):
+                make_game([[0, 1], [-1, 0]], mode, ["a", "b"], labels)
+
+    def test_label_tuples_accepted(self):
+        g = make_game([[1, 2]], "non-symmetric", ("r",), ("x", "y"))
+        assert g.row_labels == ("r",) and g.col_labels == ("x", "y")
+
 
 class TestComparability:
     def test_one_comparable_is_player_one(self, mp):

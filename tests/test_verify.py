@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import zsflow.dynamics
+import zsflow.equilibrium
 import zsflow.prefgraph
 import zsflow.verify
 from zsflow import (
@@ -24,6 +25,7 @@ from zsflow.verify import (
     LYAPUNOV_FD_TOL,
     verify_embedding,
     verify_lyapunov,
+    verify_nash,
     verify_symmetrisation,
 )
 
@@ -121,6 +123,29 @@ class TestLyapunov:
         assert report["failures"][0].startswith("rate ")
         assert " vs finite difference " in report["failures"][0]
         assert report["detail"]["max_fd_gap"] > 0
+
+
+class TestNash:
+    def test_enumerates_once_per_game(self, monkeypatch):
+        real = zsflow.equilibrium._enumerate_equilibria
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return real(g)
+
+        monkeypatch.setattr(zsflow.equilibrium, "_enumerate_equilibria", counted)
+        report = verify_nash(25, 606)
+        assert report["passed"] and report["checked"] == 25
+        assert len(calls) == 25 and len(set(map(id, calls))) == 25
+
+    def test_stops_at_a_failed_essential_verdict(self, monkeypatch):
+        monkeypatch.setattr(zsflow.equilibrium, "is_strongly_connected", lambda pg, subset: False)
+        report = verify_nash(5, 1)
+        assert not report["passed"] and report["checked"] == 1
+        assert report["failures"] == [
+            "essential subgame verdicts in_sink=True strongly_connected=False"
+        ]
 
 
 class TestEmbedding:
