@@ -235,20 +235,16 @@ def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
     chosen, essential = _profiles(g, support), _profiles(g, ess)
     inside = node_mask(pg, essential)
     ties = int(np.count_nonzero((pg.weights == 0) & inside[pg.src] & inside[pg.dst]))
-    connected = is_strongly_connected(pg, essential)
     return NashCertificate(
         equilibrium=z,
         game_value=value,
         support=support,
         in_sink=chosen <= sink,
-        # The selected support is usually the whole essential subgame.
-        support_strongly_connected=(
-            connected if support == ess else is_strongly_connected(pg, chosen)
-        ),
+        support_strongly_connected=is_strongly_connected(pg, chosen),
         essential=PreferenceNashReport(
             subgame=ess,
             in_sink=essential <= sink,
-            strongly_connected=connected,
+            strongly_connected=is_strongly_connected(pg, essential),
             zero_weight_arc_pairs=ties // 2,
         ),
     )

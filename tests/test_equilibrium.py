@@ -7,7 +7,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-import zsflow.equilibrium
 from zsflow import (
     build_graph,
     certificate_to_dict,
@@ -231,27 +230,6 @@ class TestGraphCertification:
                 a.weight == 0 and a.src in prods and a.dst in prods for a in pg.arcs
             )
             assert ess.zero_weight_arc_pairs * 2 == ties
-
-    def test_connectivity_checked_once_when_support_is_essential(
-        self, mp, rps, diamond, monkeypatch
-    ):
-        calls = []
-
-        def counted(pg, subset):
-            calls.append(subset)
-            return is_strongly_connected(pg, subset)
-
-        monkeypatch.setattr(zsflow.equilibrium, "is_strongly_connected", counted)
-        for g in (mp, rps, diamond):
-            cert = solve_nash(g)
-            assert cert.support == cert.essential.subgame and len(calls) == 1
-            calls.clear()
-        # All-zero 2x2: the selected support is one profile, the essential
-        # subgame all four, so each product set is checked.
-        cert = solve_nash(make_game([[0, 0], [0, 0]], "non-symmetric"))
-        assert cert.support == ((0,), (0,)) and cert.essential.subgame == ((0, 1), (0, 1))
-        assert cert.support_strongly_connected and cert.essential.strongly_connected
-        assert sorted(map(len, calls)) == [1, 4]
 
 
 class TestSerialisation:
