@@ -38,7 +38,7 @@ from .game import (
     mixed,
     uniform_profile,
 )
-from .prefgraph import SinkUniquenessError, build_graph, scc, sink_component, to_dot
+from .prefgraph import SinkUniquenessError, _chains, build_graph, scc, sink_component, to_dot
 from .sampling import random_mixed_profile
 from .symmetrise import symmetrise
 from .verify import SCOPES, run_scope
@@ -124,8 +124,8 @@ def _analyze(args) -> int:
     cont = content_of(sink, g)
     cert = solve_nash(g, pg)
     nash_check = cert.essential
-    arcs = int(pg.src.size)
-    ties = int(np.count_nonzero(pg.weights == 0)) // 2
+    ties = _chains(pg, np.ones(len(pg.nodes), dtype=bool))[2]  # two arcs each
+    arcs = ties + (g.n * (g.n - 1) if g.symmetric else g.n * g.m * (g.n + g.m - 2)) // 2
     report = {
         "game": {
             "path": args.game,

@@ -356,10 +356,6 @@ def mass_monotone(mass: np.ndarray, slack: float = 1e-8, saturation: float = 1e-
     return bool(np.all(np.diff(m[:end]) >= -slack))
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def write_trajectory_csv(tr: Trajectory, g: Game, path: str) -> None:
     """CSV with header t, <coordinate labels...>, x_H, payoff, dist_content."""
     if g.symmetric:
@@ -367,17 +363,15 @@ def write_trajectory_csv(tr: Trajectory, g: Game, path: str) -> None:
     else:
         labels = [f"p1:{s}" for s in g.row_labels] + [f"p2:{t}" for t in g.col_labels]
     header = ["t"] + labels + ["x_H", "payoff", "dist_content"]
-    lines = [",".join(header)]
-    for k in range(len(tr)):
-        cells = [_fmt(float(tr.times[k]))]
-        for s in tr.states:
-            cells.extend(_fmt(float(v)) for v in s[k])
-        cells.append("" if tr.mass is None else _fmt(float(tr.mass[k])))
-        cells.append(_fmt(float(tr.payoff[k])))
-        cells.append("" if tr.dist is None else _fmt(float(tr.dist[k])))
-        lines.append(",".join(cells))
+    series = [tr.times, *tr.states, tr.mass, tr.payoff, tr.dist]
+    # One template per row, each value as %.17g; a missing series is a blank cell.
+    width = [0 if s is None else 1 if s.ndim == 1 else s.shape[1] for s in series]
+    row = ",".join(",".join(["%.17g"] * k) for k in width) + "\n"
+    table = np.column_stack([s for s in series if s is not None]).astype(float)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(header) + "\n")
+        for k in range(0, len(table), 4096):  # a block at a time, to bound memory
+            fh.writelines(row % tuple(r) for r in table[k : k + 4096].tolist())
 
 
 def write_trajectory_svg(tr: Trajectory, path: str, title: str = "sink mass") -> None:

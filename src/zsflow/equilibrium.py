@@ -25,7 +25,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .game import Game, MixedProfile, SUPPORT_ATOL
-from .prefgraph import PreferenceGraph, build_graph, is_strongly_connected, node_mask, sink_component
+from .prefgraph import PreferenceGraph, _chains, build_graph, is_strongly_connected, node_mask
+from .prefgraph import sink_component
 
 # Best-response slack accepted when validating a candidate equilibrium, per
 # unit of the largest payoff magnitude (at least 1).
@@ -233,8 +234,6 @@ def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
     sink = sink_component(pg)
     ess = _union(g, eqs)
     chosen, essential = _profiles(g, support), _profiles(g, ess)
-    inside = node_mask(pg, essential)
-    ties = int(np.count_nonzero((pg.weights == 0) & inside[pg.src] & inside[pg.dst]))
     return NashCertificate(
         equilibrium=z,
         game_value=value,
@@ -245,7 +244,7 @@ def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
             subgame=ess,
             in_sink=essential <= sink,
             strongly_connected=is_strongly_connected(pg, essential),
-            zero_weight_arc_pairs=ties // 2,
+            zero_weight_arc_pairs=_chains(pg, node_mask(pg, essential))[2],
         ),
     )
 

@@ -70,7 +70,7 @@ class Game:
         int_scale: positive common denominator; (int_view, int_scale) is
             reduced by their gcd, so equal games have equal fields.
         symmetric: whether both players share the row strategy set.
-        row_labels: names for row strategies.
+        row_labels: names for row strategies (a list or tuple on input).
         col_labels: names for column strategies (same as rows if symmetric).
         float_view: read-only float copy of the payoffs, each entry rounded
             once from its exact value; not compared.
@@ -84,6 +84,8 @@ class Game:
     float_view: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        for where in ("row_labels", "col_labels"):
+            object.__setattr__(self, where, _check_labels(getattr(self, where), where))
         I, scale = self.int_view, self.int_scale
         if I.ndim != 2 or not I.size:
             raise GameFormatError("matrix must be non-empty")
@@ -211,19 +213,18 @@ def make_game(
     symmetric = mode == "symmetric"
     if row_labels is None:
         row_labels = [f"s{i}" for i in range(n)]
-    _check_labels(row_labels, "row_labels")
     if col_labels is None:
-        col_labels = list(row_labels) if symmetric else [f"t{j}" for j in range(m)]
-    _check_labels(col_labels, "col_labels")
-    return Game(ints.reshape(n, m), scale, symmetric, tuple(row_labels), tuple(col_labels))
+        col_labels = row_labels if symmetric else [f"t{j}" for j in range(m)]
+    return Game(ints.reshape(n, m), scale, symmetric, row_labels, col_labels)
 
 
-def _check_labels(labels: Sequence[str], where: str) -> None:
+def _check_labels(labels: Sequence[str], where: str) -> tuple[str, ...]:
     if not isinstance(labels, (list, tuple)):
         raise GameFormatError(f"{where} must be a list of strings")
     for lab in labels:
         if not isinstance(lab, str) or not lab:
             raise GameFormatError(f"{where}: labels must be non-empty strings")
+    return tuple(labels)
 
 
 def parse_game(text: str) -> Game:

@@ -5,14 +5,20 @@ p -> q exactly when weight(p, q) <= 0, i.e. the arc points at the profile the
 deviating player weakly prefers; a tie yields the antiparallel pair of
 zero-weight arcs.  Arc weights are |weight(p, q)|, held as exact integers
 over the game's common denominator.
+
+Strong components need only one chain per line: a row's arcs follow the
+column player's weak order over it, a column's the row player's, and a chain
+in that order with back arcs between consecutive tied entries reaches the same
+nodes, on any node subset too.  Symmetric games (tournaments) keep their full
+arcs, which are otherwise built only when read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -35,21 +41,62 @@ class SinkUniquenessError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class PreferenceGraph:
-    """A preference graph held as index arrays over its nodes.
+    """A preference graph over ints, the game's payoffs times scale.
 
-    Arc k runs from nodes[src[k]] to nodes[dst[k]] with weight
-    weights[k] / scale: integer weights over the game's common denominator,
-    so every comparison stays exact.  Graphs are equal when their nodes,
-    names, mode and arcs are.
+    The arc arrays are built on first read: arc k runs from nodes[src[k]] to
+    nodes[dst[k]] with exact weight weights[k] / scale.  Graphs are equal when
+    their nodes, names, mode and arcs are.
     """
 
     nodes: tuple[Profile, ...]
-    src: np.ndarray
-    dst: np.ndarray
-    weights: np.ndarray
+    ints: np.ndarray
     scale: int
     symmetric: bool
     node_names: tuple[str, ...]
+
+    @cached_property
+    def _full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        M = self.ints
+        n, m = M.shape
+        if self.symmetric:
+            p, q = np.nonzero(np.arange(n)[:, None] < np.arange(n))
+            w = M[p, q]
+        else:
+            # Slots of profile (i, j): (i, k) for every column k, where the
+            # column player moves, then (k, j) for every row k, where the row
+            # player moves.  The valid slots in row-major order are the
+            # comparable pairs in row-major order, same-row partners first.
+            W = np.concatenate([M[:, None, :] - M[:, :, None], M[:, :, None] - M.T[None]], axis=2)
+            i, j = np.divmod(np.arange(n * m)[:, None], m)
+            slot = np.arange(m + n)
+            p, k = np.nonzero(np.where(slot < m, slot > j, slot - m > i))
+            w = W.reshape(n * m, m + n)[p, k]
+            i, j = np.divmod(p, m)
+            q = np.where(k < m, i * m + k, (k - m) * m + j)
+        # w = weight(p, q): w < 0 gives p -> q, w > 0 gives q -> p, and a tie
+        # gives p -> q followed by q -> p, both of weight zero.
+        tie = w == 0
+        reps = 1 + tie
+        pair = np.repeat(np.arange(w.size), reps)
+        back = (w > 0)[pair]
+        back[np.cumsum(reps)[tie] - 1] = True
+        return np.where(back, q[pair], p[pair]), np.where(back, p[pair], q[pair]), np.abs(w)[pair]
+
+    @cached_property
+    def _lines(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # Node ids of every row, then every column, each least preferred first
+        # by its mover: rows by falling payoff, columns by rising payoff; with
+        # each entry's line and its run of equal payoffs within the line.
+        M = self.ints
+        n, m = M.shape
+        rows = np.argsort(-M, axis=1, kind="stable") + m * np.arange(n)[:, None]
+        cols = np.argsort(M.T, axis=1, kind="stable") * m + np.arange(m)[:, None]
+        seq = np.concatenate([rows.ravel(), cols.ravel()])
+        line = np.repeat(np.arange(n + m), [m] * n + [n] * m)
+        new = (line[1:] != line[:-1]) | (np.diff(M.ravel()[seq]) != 0)
+        return seq, line, np.cumsum(np.concatenate([[True], new]))
+
+    src, dst, weights = (property(lambda self, k=k: self._full[k]) for k in range(3))
 
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
@@ -71,50 +118,48 @@ class PreferenceGraph:
         return mine == (other.nodes, other.node_names, other.symmetric, other.arcs)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SccPartition:
     """Condensation of a preference graph.
 
     Components are numbered by the smallest row-major position of any
-    contained node, so the numbering is deterministic.
+    contained node.  edges, the (src, dst) component pairs of the full arcs
+    with src != dst, may be given as a function, called on first read.
     """
 
     components: tuple[frozenset, ...]
-    edges: frozenset  # (src component, dst component), src != dst
-    sinks: tuple[int, ...] = field(default=())
+    _edges: frozenset | Callable[[], frozenset]
+    sinks: tuple[int, ...] = ()
+
+    @cached_property
+    def edges(self) -> frozenset:
+        return self._edges() if callable(self._edges) else self._edges
+
+    def _key(self) -> tuple:
+        return self.components, self.edges, self.sinks
+
+    def __eq__(self, other: object) -> bool:
+        return self._key() == other._key() if isinstance(other, SccPartition) else NotImplemented
 
 
 def build_graph(g: Game) -> PreferenceGraph:
-    """Construct the preference graph of g from its exact integer payoffs."""
-    M = g.int_view
-    n, m = M.shape
-    if g.symmetric:
-        p, q = np.nonzero(np.arange(n)[:, None] < np.arange(n))
-        w = M[p, q]
-    else:
-        # Slots of profile (i, j): (i, k) for every column k, where the column
-        # player moves, then (k, j) for every row k, where the row player
-        # moves.  The valid slots in row-major order are the comparable pairs
-        # in row-major order, same-row partners first.
-        W = np.concatenate([M[:, None, :] - M[:, :, None], M[:, :, None] - M.T[None]], axis=2)
-        i, j = np.divmod(np.arange(n * m)[:, None], m)
-        slot = np.arange(m + n)
-        p, k = np.nonzero(np.where(slot < m, slot > j, slot - m > i))
-        w = W.reshape(n * m, m + n)[p, k]
-        i, j = np.divmod(p, m)
-        q = np.where(k < m, i * m + k, (k - m) * m + j)
-    # w = weight(p, q): w < 0 gives p -> q, w > 0 gives q -> p, and a tie
-    # gives p -> q followed by q -> p, both of weight zero.
-    tie = w == 0
-    reps = 1 + tie
-    pair = np.repeat(np.arange(w.size), reps)
-    back = (w > 0)[pair]
-    back[np.cumsum(reps)[tie] - 1] = True
-    src = np.where(back, q[pair], p[pair])
-    dst = np.where(back, p[pair], q[pair])
+    """The preference graph of g over its exact integer payoffs."""
     nodes = tuple(g.profiles())
     names = tuple(g.profile_name(v) for v in nodes)
-    return PreferenceGraph(nodes, src, dst, np.abs(w)[pair], g.int_scale, g.symmetric, names)
+    return PreferenceGraph(nodes, g.int_view, g.int_scale, g.symmetric, names)
+
+
+def _chains(pg: PreferenceGraph, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Arcs among the masked nodes that reach what their full arcs reach, and their tied pairs."""
+    if pg.symmetric:
+        keep = inside[pg.src] & inside[pg.dst]
+        return pg.src[keep], pg.dst[keep], int(np.count_nonzero(pg.weights[keep] == 0)) // 2
+    keep = inside[pg._lines[0]]
+    seq, line, run = (a[keep] for a in pg._lines)
+    step, tie = line[1:] == line[:-1], run[1:] == run[:-1]
+    k = np.bincount(run)  # a run of k equal payoffs in a line holds C(k, 2) tied pairs
+    src = np.concatenate([seq[:-1][step], seq[1:][tie]])
+    return src, np.concatenate([seq[1:][step], seq[:-1][tie]]), int((k * (k - 1)).sum()) // 2
 
 
 def _strong_components(N: int, src: np.ndarray, dst: np.ndarray) -> tuple[list[int], int]:
@@ -166,7 +211,8 @@ def _strong_components(N: int, src: np.ndarray, dst: np.ndarray) -> tuple[list[i
 
 
 def _condense(pg: PreferenceGraph) -> SccPartition:
-    label, found = _strong_components(len(pg.nodes), pg.src, pg.dst)
+    src, dst, _ = _chains(pg, np.ones(len(pg.nodes), dtype=bool))
+    label, found = _strong_components(len(pg.nodes), src, dst)
     # Nodes are in row-major order, so numbering labels by first appearance
     # numbers components by their smallest position.
     renumber: dict[int, int] = {}
@@ -174,17 +220,17 @@ def _condense(pg: PreferenceGraph) -> SccPartition:
     members: list[list] = [[] for _ in range(found)]
     for v, c in zip(pg.nodes, comp):
         members[c].append(v)
-    comp_of = np.array(comp)
-    cs, cd = comp_of[pg.src], comp_of[pg.dst]
-    cross = cs != cd
-    codes = cs[cross] * found + cd[cross]
-    codes = codes[np.argsort(codes, kind="stable")]
-    codes = codes[np.diff(codes, prepend=-1) != 0]
-    return SccPartition(
-        tuple(frozenset(c) for c in members),
-        frozenset(zip((codes // found).tolist(), (codes % found).tolist())),
-        tuple(np.flatnonzero(np.bincount(cs[cross], minlength=found) == 0).tolist()),
-    )
+    comp_of = np.array(comp, dtype=np.intp)
+    twin = replace(pg)  # the same graph without its cache, so no reference cycle
+
+    def edges() -> frozenset:
+        cs, cd = comp_of[twin.src], comp_of[twin.dst]
+        return frozenset(zip(cs[cs != cd].tolist(), cd[cs != cd].tolist()))
+
+    # A component the chains leave is one the full arcs leave, and back.
+    left = np.bincount(comp_of[src][comp_of[src] != comp_of[dst]], minlength=found)
+    sinks = tuple(np.flatnonzero(left == 0).tolist())
+    return SccPartition(tuple(frozenset(c) for c in members), edges, sinks)
 
 
 def scc(pg: PreferenceGraph) -> SccPartition:
@@ -221,9 +267,9 @@ def is_strongly_connected(pg: PreferenceGraph, subset: Iterable[Profile]) -> boo
     inside = node_mask(pg, subset)
     if not inside.any():
         raise ValueError("strong connectivity is undefined for the empty set")
-    keep = inside[pg.src] & inside[pg.dst]
+    src, dst, _ = _chains(pg, inside)
     local = np.cumsum(inside) - 1  # index among the subset's nodes
-    _, found = _strong_components(int(inside.sum()), local[pg.src[keep]], local[pg.dst[keep]])
+    _, found = _strong_components(int(inside.sum()), local[src], local[dst])
     return found == 1
 
 

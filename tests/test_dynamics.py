@@ -10,6 +10,7 @@ import zsflow.dynamics
 from zsflow import (
     IntegrationError,
     IntegratorConfig,
+    Trajectory,
     build_graph,
     check_embedding,
     integrate,
@@ -29,7 +30,7 @@ from zsflow import (
     write_trajectory_csv,
     write_trajectory_svg,
 )
-from zsflow.sampling import game_corpus, random_mixed_profile
+from zsflow.sampling import game_corpus, random_game, random_mixed_profile
 
 
 class TestVectorFields:
@@ -382,7 +383,53 @@ class TestSeriesHelpers:
         assert mass_monotone(np.array([0.4]))
 
 
+def oracle_trajectory_csv(tr: Trajectory, g) -> str:
+    """The per-cell CSV writer the library used before it formatted whole rows."""
+    if g.symmetric:
+        labels = list(g.row_labels)
+    else:
+        labels = [f"p1:{s}" for s in g.row_labels] + [f"p2:{t}" for t in g.col_labels]
+    lines = [",".join(["t"] + labels + ["x_H", "payoff", "dist_content"])]
+    for k in range(len(tr)):
+        cells = [f"{float(tr.times[k]):.17g}"]
+        for s in tr.states:
+            cells.extend(f"{float(v):.17g}" for v in s[k])
+        cells.append("" if tr.mass is None else f"{float(tr.mass[k]):.17g}")
+        cells.append(f"{float(tr.payoff[k]):.17g}")
+        cells.append("" if tr.dist is None else f"{float(tr.dist[k]):.17g}")
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
 class TestWriters:
+    @pytest.mark.parametrize("symmetric", [False, True])
+    @pytest.mark.parametrize("with_sink", [False, True])
+    def test_csv_matches_per_cell_oracle(self, symmetric, with_sink, tmp_path):
+        rng = np.random.default_rng(31)
+        for n in (2, 5, 13):
+            g = random_game(rng, symmetric, n, None if symmetric else n + 1)
+            z0 = random_mixed_profile(rng, g, interior=True)
+            H = sink_component(build_graph(g)) if with_sink else None
+            tr = integrate(g, z0, IntegratorConfig(step=0.05, horizon=1.0), H=H)
+            path = tmp_path / f"{n}.csv"
+            write_trajectory_csv(tr, g, str(path))
+            assert path.read_bytes() == oracle_trajectory_csv(tr, g).encode()
+
+    @pytest.mark.parametrize("with_sink", [False, True])
+    def test_csv_edge_values_match_per_cell_oracle(self, mp, with_sink, tmp_path):
+        # Signed zeros, subnormals and values below 1e-300 print as the oracle does.
+        edge = np.array([-0.0, 0.0, 1e-301, -3e-310, 5e-324, 1 / 3, 1e300, -2.5])
+        half = edge.reshape(4, 2)
+        series = edge[:4] if with_sink else None
+        tr = Trajectory(
+            times=np.arange(4.0), states=(half, half[::-1]), payoff=edge[4:],
+            mass=series, dist=series,
+        )
+        path = tmp_path / "edge.csv"
+        write_trajectory_csv(tr, mp, str(path))
+        assert path.read_bytes() == oracle_trajectory_csv(tr, mp).encode()
+        assert "-0," in path.read_text() and "1e-301" in path.read_text()
+
     def test_csv_layout(self, mp, tmp_path):
         H = sink_component(build_graph(mp))
         z0 = mixed([0.9, 0.1], [0.2, 0.8])

@@ -184,6 +184,21 @@ class TestParsing:
         g = make_game([[1, 2]], "non-symmetric", ("r",), ("x", "y"))
         assert g.row_labels == ("r",) and g.col_labels == ("x", "y")
 
+    @pytest.mark.parametrize("labels", [5, "ab", {"a": 0, "b": 1}])
+    def test_constructor_rejects_label_non_lists(self, labels):
+        I = np.eye(2, dtype=np.int64)
+        with pytest.raises(GameFormatError, match="row_labels must be a list"):
+            Game(I, 1, False, labels, ("x", "y"))
+        with pytest.raises(GameFormatError, match="col_labels must be a list"):
+            Game(I, 1, False, ("a", "b"), labels)
+        with pytest.raises(GameFormatError, match="labels must be non-empty strings"):
+            Game(I, 1, False, ("a", 2), ("x", "y"))
+
+    def test_constructor_stores_label_lists_as_tuples(self):
+        g = Game(np.eye(2, dtype=np.int64), 1, False, ["a", "b"], ["x", "y"])
+        assert g.row_labels == ("a", "b") and g.col_labels == ("x", "y")
+        assert g == Game(np.eye(2, dtype=np.int64), 1, False, ("a", "b"), ("x", "y"))
+
 
 class TestComparability:
     def test_one_comparable_is_player_one(self, mp):

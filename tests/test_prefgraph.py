@@ -1,5 +1,6 @@
 """Preference graph structure, condensation and sink certification."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,9 +8,11 @@ import pytest
 
 from zsflow import (
     Arc,
+    Game,
     PreferenceGraph,
     SinkUniquenessError,
     build_graph,
+    content_of,
     is_strongly_connected,
     make_game,
     random_game,
@@ -18,6 +21,7 @@ from zsflow import (
     to_dot,
     weight,
 )
+from zsflow.prefgraph import _chains
 from zsflow.sampling import game_corpus
 
 from graph_oracle import oracle_arcs, oracle_corpus, oracle_scc
@@ -160,10 +164,10 @@ class TestCondensation:
         assert sink == frozenset((i, j) for i in range(3) for j in range(3)) - {(0, 0)}
 
     def test_multiple_sinks_rejected(self):
-        # Hand-built graph (not from a game): two isolated nodes.
-        none = np.zeros(0, dtype=np.intp)
+        # Hand-built graph (not from a game): two nodes and no payoffs to
+        # compare them by, so no arcs.
         pg = PreferenceGraph(
-            nodes=(0, 1), src=none, dst=none, weights=none, scale=1,
+            nodes=(0, 1), ints=np.zeros((0, 0), dtype=np.int64), scale=1,
             symmetric=True, node_names=("u", "v"),
         )
         with pytest.raises(SinkUniquenessError) as err:
@@ -256,3 +260,59 @@ class TestDot:
     def test_symmetric_dot_plain_names(self, rps):
         dot = to_dot(build_graph(rps))
         assert '"R" -> "P" [label="1"];' in dot
+
+
+def increasing_map(rng, g: Game) -> Game:
+    """g under a random strictly increasing map of its payoffs, odd for a
+    symmetric game so that anti-symmetry holds."""
+    values = sorted(set(g.int_view.ravel().tolist()))
+    if g.symmetric:
+        pos = [v for v in values if v > 0]
+        image = np.cumsum(rng.integers(1, 40, size=len(pos))).tolist()
+        to = {0: 0} | dict(zip(pos, image)) | {-v: -w for v, w in zip(pos, image)}
+    else:
+        image = int(rng.integers(-50, 50)) + np.cumsum(rng.integers(1, 40, size=len(values)))
+        to = dict(zip(values, image.tolist()))
+    I = np.array([[to[v] for v in row] for row in g.int_view.tolist()], dtype=np.int64)
+    return Game(I, 1, g.symmetric, g.row_labels, g.col_labels)
+
+
+class TestOrdinal:
+    """The condensation reads each player's preference order only."""
+
+    def test_invariant_under_increasing_payoff_maps(self):
+        rng = np.random.default_rng(40)
+        for g in oracle_corpus(41, 160):
+            h = increasing_map(rng, g)
+            a, b = scc(build_graph(g)), scc(build_graph(h))
+            assert a.components == b.components and a.sinks == b.sinks
+            sink = a.components[a.sinks[0]]
+            assert content_of(sink, g) == content_of(sink, h)
+
+    def test_subset_connectivity_matches_oracle(self):
+        rng = np.random.default_rng(42)
+        for g in oracle_corpus(43, 120):
+            pg = build_graph(g)
+            arcs = oracle_arcs(g)
+            for _ in range(8):
+                pick = rng.random(len(pg.nodes)) < rng.uniform(0.2, 1.0)
+                if not pick.any():
+                    continue
+                nodes = tuple(v for v, keep in zip(pg.nodes, pick) if keep)
+                inner = [a for a in arcs if a.src in nodes and a.dst in nodes]
+                expected = len(oracle_scc(nodes, inner).components) == 1
+                assert is_strongly_connected(pg, nodes) == expected
+                ties = sum(1 for a in inner if a.weight == 0) // 2
+                assert _chains(pg, pick)[2] == ties
+
+    def test_full_arcs_not_built_at_scale(self):
+        g = random_game(np.random.default_rng(44), False, 100, 100)
+        tracemalloc.start()
+        try:
+            pg = build_graph(g)
+            sink = sink_component(pg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink and "_full" not in vars(pg)
+        assert peak < 16 * 2**20  # the full arc arrays alone take about 100 MB
