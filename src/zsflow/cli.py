@@ -14,6 +14,7 @@ and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -38,7 +39,7 @@ from .game import (
     mixed,
     uniform_profile,
 )
-from .prefgraph import SinkUniquenessError, _chains, build_graph, scc, sink_component, to_dot
+from .prefgraph import SinkUniquenessError, build_graph, scc, sink_component, to_dot
 from .sampling import random_mixed_profile
 from .symmetrise import symmetrise
 from .verify import SCOPES, run_scope
@@ -48,6 +49,7 @@ EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
 
+@functools.cache  # parse_args leaves the parser as it is
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=42, help="random seed (default 42)")
@@ -75,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--horizon", type=float, default=200.0)
     p.add_argument("--step", type=float, default=0.01)
-    p.add_argument("--method", choices=("rk4-log", "rk4-direct"), default="rk4-log")
     p.add_argument("--csv", metavar="PATH", help="trajectory CSV path (default <out-dir>/<game>_trajectory.csv)")
     p.add_argument("--svg", metavar="PATH", help="also write a polyline chart")
 
@@ -124,8 +125,7 @@ def _analyze(args) -> int:
     cont = content_of(sink, g)
     cert = solve_nash(g, pg)
     nash_check = cert.essential
-    ties = _chains(pg, np.ones(len(pg.nodes), dtype=bool))[2]  # two arcs each
-    arcs = ties + (g.n * (g.n - 1) if g.symmetric else g.n * g.m * (g.n + g.m - 2)) // 2
+    arcs = part.ties + (g.n * (g.n - 1) if g.symmetric else g.n * g.m * (g.n + g.m - 2)) // 2
     report = {
         "game": {
             "path": args.game,
@@ -138,7 +138,7 @@ def _analyze(args) -> int:
         "graph": {
             "nodes": len(pg.nodes),
             "arcs": arcs,
-            "zero_weight_arc_pairs": ties,
+            "zero_weight_arc_pairs": part.ties,
             "components": len(part.components),
             "component_sizes": [len(c) for c in part.components],
         },
@@ -181,7 +181,7 @@ def _analyze(args) -> int:
     lines = [
         f"game: {g.n}x{g.m} {g.mode} ({args.game})",
         f"preference graph: {len(pg.nodes)} nodes, {arcs} arcs, "
-        f"{ties} tied pair(s), {len(part.components)} component(s)",
+        f"{part.ties} tied pair(s), {len(part.components)} component(s)",
         f"sink component ({len(sink)}/{len(pg.nodes)} profiles): "
         + " ".join(report["sink"]["profiles"]),
         "attractor: "
@@ -203,7 +203,7 @@ def _analyze(args) -> int:
 
 def _simulate(args) -> int:
     g = load_game(args.game)
-    cfg = IntegratorConfig(step=args.step, horizon=args.horizon, method=args.method)
+    cfg = IntegratorConfig(step=args.step, horizon=args.horizon)
     z0 = _parse_start(args.start, g, args.seed)
     sink = sink_component(build_graph(g))
     tr = integrate(g, z0, cfg, H=sink)
@@ -229,7 +229,7 @@ def _simulate(args) -> int:
             "start": args.start,
             "horizon": args.horizon,
             "step": args.step,
-            "method": args.method,
+            "method": "rk4-log",
         },
         "outputs": outputs,
         "result": {
@@ -245,7 +245,7 @@ def _simulate(args) -> int:
     lines = [
         f"game: {g.n}x{g.m} {g.mode} ({args.game})",
         f"integrated {len(tr) - 1} steps of {args.step:g} "
-        f"({cfg.method}), horizon {args.horizon:g}",
+        f"(rk4-log), horizon {args.horizon:g}",
         f"final x_H = {float(tr.mass[-1]):.9f}  (1 - x_H = {float(tr.dist[-1]):.3e})",
         f"final payoff = {float(tr.payoff[-1]):.9g}",
         f"wrote: {', '.join(outputs)}",
@@ -328,8 +328,7 @@ _COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (GameFormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:

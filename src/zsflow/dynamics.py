@@ -7,11 +7,11 @@ K = [[0, M], [-M^T, 0]] with player blocks starting at 0 and n, and K = M with
 a single block for a symmetric game.  Player payoffs are z K^T, and the
 replicator field multiplies them, minus each block's average, by z.
 
-The default integrator advances u = log z with classic RK4 and recovers z by a
+The integrator advances u = log z with classic RK4 and recovers z by a
 softmax within each block.  Coordinates outside the support are u = log 0 =
 -inf, which the update keeps exactly, so faces of the simplex are invariant and
 starts with different supports batch together.  A direct RK4 on the simplex
-with per-step renormalisation is kept as a cross-check mode.
+with per-step renormalisation checks it from the tests (tests/dynamics_oracle.py).
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ class IntegratorConfig:
 
     step: float = 0.01
     horizon: float = 200.0
-    method: str = "rk4-log"
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.step) and math.isfinite(self.horizon)):
@@ -52,8 +51,6 @@ class IntegratorConfig:
             raise ValueError("step must be smaller than horizon")
         if not math.isfinite(self.horizon / self.step):
             raise ValueError("horizon / step overflows the step count")
-        if self.method not in ("rk4-log", "rk4-direct"):
-            raise ValueError(f"unknown method {self.method!r}")
 
     @property
     def steps(self) -> int:
@@ -155,8 +152,26 @@ def _mass_series(g: Game, full: np.ndarray, inside: np.ndarray) -> np.ndarray:
 
 def _flow(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
     """Samples (steps + 1, B, n+m) of the flow from the stacked starts Z0."""
-    run = _run_log if cfg.method == "rk4-log" else _run_direct
-    return run(op, Z0, cfg)
+    nsteps, h = cfg.steps, cfg.step
+    on = Z0 > 0
+    out = np.empty((nsteps + 1,) + Z0.shape)
+    out[0] = Z0  # keep the exact start
+    # log 0 = -inf is expected; an overflow or NaN fails the finite check below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        U = np.log(Z0)
+        Z = _softmax(op, U)
+        for k in range(nsteps):
+            K1 = Z @ op.KT
+            K2 = _softmax(op, U + 0.5 * h * K1) @ op.KT
+            K3 = _softmax(op, U + 0.5 * h * K2) @ op.KT
+            K4 = _softmax(op, U + h * K3) @ op.KT
+            U = U + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+            # Softmax is shift invariant within a block.
+            U -= _per_block(op, np.maximum, U)
+            if not np.all(np.where(on, np.isfinite(U), U == -np.inf)):
+                raise IntegrationError(f"non-finite state at step {k + 1} (t = {(k + 1) * h:g})")
+            Z = out[k + 1] = _softmax(op, U)
+    return out
 
 
 def integrate(
@@ -179,7 +194,7 @@ def integrate_batch(
     """Integrate several starts at once as one (B, n+m) state.
 
     Starts may have different supports: a coordinate that starts at zero is
-    log 0 = -inf in the log method and stays exactly zero in both methods.
+    log 0 = -inf and stays exactly zero.
     """
     if not starts:
         raise ValueError("integrate_batch requires at least one start")
@@ -213,54 +228,6 @@ def integrate_batch(
         )
         for b in range(len(starts))
     ]
-
-
-def _run_log(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
-    nsteps, h = cfg.steps, cfg.step
-    on = Z0 > 0
-    with np.errstate(divide="ignore"):
-        U = np.log(Z0)
-    out = np.empty((nsteps + 1,) + Z0.shape)
-    out[0] = Z0  # keep the exact start
-    Z = _softmax(op, U)
-    for k in range(nsteps):
-        K1 = Z @ op.KT
-        K2 = _softmax(op, U + 0.5 * h * K1) @ op.KT
-        K3 = _softmax(op, U + 0.5 * h * K2) @ op.KT
-        K4 = _softmax(op, U + h * K3) @ op.KT
-        U = U + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-        # Softmax is shift invariant within a block.
-        U -= _per_block(op, np.maximum, U)
-        if not np.all(np.where(on, np.isfinite(U), U == -np.inf)):
-            raise IntegrationError(
-                f"non-finite state at step {k + 1} (t = {(k + 1) * h:g})"
-            )
-        Z = out[k + 1] = _softmax(op, U)
-    return out
-
-
-def _run_direct(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
-    nsteps, h = cfg.steps, cfg.step
-    out = np.empty((nsteps + 1,) + Z0.shape)
-    Z = out[0] = Z0
-    for k in range(nsteps):
-        K1 = _field(op, Z)
-        K2 = _field(op, Z + 0.5 * h * K1)
-        K3 = _field(op, Z + 0.5 * h * K2)
-        K4 = _field(op, Z + h * K3)
-        Z = Z + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-        if not np.all(np.isfinite(Z)):
-            raise IntegrationError(
-                f"non-finite state at step {k + 1} (t = {(k + 1) * h:g})"
-            )
-        if np.any(Z < -1e-12):
-            raise IntegrationError(
-                f"negative coordinate at step {k + 1}; reduce the step size"
-            )
-        np.clip(Z, 0.0, None, out=Z)
-        Z /= _per_block(op, np.add, Z)
-        out[k + 1] = Z
-    return out
 
 
 def lyapunov_rates(g: Game, H: Iterable[Profile], zs: Sequence[MixedProfile]) -> np.ndarray:

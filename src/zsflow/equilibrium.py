@@ -25,8 +25,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .game import Game, MixedProfile, SUPPORT_ATOL
-from .prefgraph import PreferenceGraph, _chains, build_graph, is_strongly_connected, node_mask
-from .prefgraph import sink_component
+from .prefgraph import PreferenceGraph, _connectivity, build_graph, node_mask, sink_component
 
 # Best-response slack accepted when validating a candidate equilibrium, per
 # unit of the largest payoff magnitude (at least 1).
@@ -229,22 +228,22 @@ def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
         z = MixedProfile((x, y))
         support = (_support(x), _support(y))
         value = v
-    if pg is None:
-        pg = build_graph(g)
+    pg = build_graph(g) if pg is None else pg
     sink = sink_component(pg)
     ess = _union(g, eqs)
     chosen, essential = _profiles(g, support), _profiles(g, ess)
+    connected, ties = _connectivity(pg, node_mask(pg, essential))
     return NashCertificate(
         equilibrium=z,
         game_value=value,
         support=support,
         in_sink=chosen <= sink,
-        support_strongly_connected=is_strongly_connected(pg, chosen),
+        support_strongly_connected=_connectivity(pg, node_mask(pg, chosen))[0],
         essential=PreferenceNashReport(
             subgame=ess,
             in_sink=essential <= sink,
-            strongly_connected=is_strongly_connected(pg, essential),
-            zero_weight_arc_pairs=_chains(pg, node_mask(pg, essential))[2],
+            strongly_connected=connected,
+            zero_weight_arc_pairs=ties,
         ),
     )
 

@@ -130,6 +130,7 @@ class SccPartition:
     components: tuple[frozenset, ...]
     _edges: frozenset | Callable[[], frozenset]
     sinks: tuple[int, ...] = ()
+    ties: int = 0  # tied pairs of the graph, left out of comparisons
 
     @cached_property
     def edges(self) -> frozenset:
@@ -211,7 +212,7 @@ def _strong_components(N: int, src: np.ndarray, dst: np.ndarray) -> tuple[list[i
 
 
 def _condense(pg: PreferenceGraph) -> SccPartition:
-    src, dst, _ = _chains(pg, np.ones(len(pg.nodes), dtype=bool))
+    src, dst, ties = _chains(pg, np.ones(len(pg.nodes), dtype=bool))
     label, found = _strong_components(len(pg.nodes), src, dst)
     # Nodes are in row-major order, so numbering labels by first appearance
     # numbers components by their smallest position.
@@ -230,7 +231,7 @@ def _condense(pg: PreferenceGraph) -> SccPartition:
     # A component the chains leave is one the full arcs leave, and back.
     left = np.bincount(comp_of[src][comp_of[src] != comp_of[dst]], minlength=found)
     sinks = tuple(np.flatnonzero(left == 0).tolist())
-    return SccPartition(tuple(frozenset(c) for c in members), edges, sinks)
+    return SccPartition(tuple(frozenset(c) for c in members), edges, sinks, ties)
 
 
 def scc(pg: PreferenceGraph) -> SccPartition:
@@ -264,13 +265,17 @@ def node_mask(pg: PreferenceGraph, subset: Iterable[Profile]) -> np.ndarray:
 
 def is_strongly_connected(pg: PreferenceGraph, subset: Iterable[Profile]) -> bool:
     """Whether the subgraph induced by subset is strongly connected."""
-    inside = node_mask(pg, subset)
+    return _connectivity(pg, node_mask(pg, subset))[0]
+
+
+def _connectivity(pg: PreferenceGraph, inside: np.ndarray) -> tuple[bool, int]:
+    """Whether the masked nodes induce a strongly connected subgraph, and their tied pairs."""
     if not inside.any():
         raise ValueError("strong connectivity is undefined for the empty set")
-    src, dst, _ = _chains(pg, inside)
+    src, dst, ties = _chains(pg, inside)
     local = np.cumsum(inside) - 1  # index among the subset's nodes
     _, found = _strong_components(int(inside.sum()), local[src], local[dst])
-    return found == 1
+    return found == 1, ties
 
 
 def _quote(name: str) -> str:

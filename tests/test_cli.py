@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,27 @@ class TestAnalyze:
         monkeypatch.setattr(zsflow.equilibrium, "build_graph", counted)
         code, _, _ = run_cli(capsys, "analyze", str(games_dir / "diamond.json"))
         assert code == 0 and len(calls) == 1
+
+    @pytest.mark.parametrize(
+        "stem", ["diamond", "matching_pennies", "rock_paper_scissors", "tie_heavy"]
+    )
+    def test_graph_passes(self, capsys, games_dir, monkeypatch, stem):
+        # One chain pass for the condensation, which also counts the ties,
+        # and one masked pass each for the chosen and the essential support.
+        calls = {"_chains": 0, "node_mask": 0}
+        for name in calls:
+            real = getattr(zsflow.prefgraph, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            for module in (zsflow.prefgraph, zsflow.equilibrium, zsflow.cli):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, counted)
+        game = GOLDEN / "tie_heavy.json" if stem == "tie_heavy" else games_dir / f"{stem}.json"
+        code, _, _ = run_cli(capsys, "analyze", str(game), "--format", "json")
+        assert code == 0 and calls == {"_chains": 3, "node_mask": 2}
 
     @pytest.mark.parametrize(
         "stem", ["diamond", "matching_pennies", "rock_paper_scissors", "tie_heavy"]
@@ -319,15 +341,26 @@ class TestSimulate:
         assert err == "error: horizon / step overflows the step count\n"
         assert not list(tmp_path.iterdir())
 
-    def test_unstable_direct_run_exits_3(self, capsys, tmp_path):
+    def test_overflowing_flow_exits_3_quietly(self, capsys, tmp_path):
+        # Matching pennies at 10**308: the first RK4 step overflows.  The
+        # finite check reports it, and numpy warns about nothing on the way.
+        big = 10**308
         game = tmp_path / "loud.json"
-        game.write_text('{"mode": "non-symmetric", "matrix": [[1000, -1000], [-1000, 1000]]}')
-        code, _, err = run_cli(
-            capsys, "simulate", str(game), "--method", "rk4-direct", "--step", "0.1",
-            "--horizon", "2", "--start", "0.5,0.5;0.9,0.1", "--out-dir", str(tmp_path),
-        )
-        assert code == 3
-        assert err.startswith("integration failed:") and len(err.splitlines()) == 1
+        game.write_text(json.dumps({"mode": "non-symmetric", "matrix": [[big, -big], [-big, big]]}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(
+                capsys, "simulate", str(game), "--step", "0.1", "--horizon", "1",
+                "--start", "0.5,0.5;0.9,0.1", "--out-dir", str(tmp_path),
+            )
+        assert code == 3 and out == ""
+        assert err == "integration failed: non-finite state at step 1 (t = 0.1)\n"
+
+    def test_has_no_method_option(self, capsys, games_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", str(games_dir / "diamond.json"), "--method", "rk4-log"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --method" in capsys.readouterr().err
 
 
 class TestVerify:
@@ -439,6 +472,14 @@ class TestDeterminism:
                 )
                 outs.append(out)
             assert outs[0] == outs[1]
+
+
+def test_builds_the_parser_once(capsys, games_dir):
+    zsflow.cli._build_parser.cache_clear()
+    for _ in range(2):
+        assert run_cli(capsys, "analyze", str(games_dir / "matching_pennies.json"))[0] == 0
+    info = zsflow.cli._build_parser.cache_info()
+    assert info.misses == 1 and info.hits == 1
 
 
 def test_module_entry_point(games_dir):

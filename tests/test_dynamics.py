@@ -1,6 +1,7 @@
 """Replicator flow, embedding, Lyapunov rate, MWU, and trajectory output."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -31,6 +32,17 @@ from zsflow import (
     write_trajectory_svg,
 )
 from zsflow.sampling import game_corpus, random_game, random_mixed_profile
+
+from dynamics_oracle import direct_flow
+
+
+@pytest.fixture(params=["rk4-log", "rk4-direct"])
+def integrator(request, monkeypatch):
+    """integrate and integrate_batch on the library's log-coordinate RK4, or
+    on the direct RK4 oracle in its place."""
+    if request.param == "rk4-direct":
+        monkeypatch.setattr(zsflow.dynamics, "_flow", direct_flow)
+    return request.param
 
 
 class TestVectorFields:
@@ -70,7 +82,7 @@ class TestConfig:
     def test_defaults(self):
         cfg = IntegratorConfig()
         assert cfg.step == 0.01 and cfg.horizon == 200.0
-        assert cfg.method == "rk4-log"
+        assert [f.name for f in dataclasses.fields(cfg)] == ["step", "horizon"]
 
     def test_step_counts(self):
         assert IntegratorConfig(step=0.01, horizon=200.0).steps == 20000
@@ -86,7 +98,6 @@ class TestConfig:
             {"step": 0.2},
             {"step": 0.1, "horizon": 0.1},
             {"horizon": -1.0},
-            {"method": "euler"},
             {"horizon": math.inf},
             {"horizon": math.nan},
             {"step": math.nan},
@@ -122,21 +133,19 @@ class TestIntegration:
         tr = integrate(rps, uniform_profile(rps), IntegratorConfig(step=0.01, horizon=5.0))
         assert np.abs(tr.states[0] - 1 / 3).max() < 1e-12
 
-    @pytest.mark.parametrize("method", ["rk4-log", "rk4-direct"])
-    def test_faces_are_invariant(self, rps, method):
+    def test_faces_are_invariant(self, rps, integrator):
         # A strategy that starts at exactly zero must stay at exactly zero.
         z0 = mixed([0.3, 0.7, 0.0])
-        cfg = IntegratorConfig(step=0.01, horizon=10.0, method=method)
+        cfg = IntegratorConfig(step=0.01, horizon=10.0)
         tr = integrate(rps, z0, cfg)
         assert np.all(tr.states[0][:, 2] == 0.0)
 
-    @pytest.mark.parametrize("method", ["rk4-log", "rk4-direct"])
-    def test_edge_flow_is_logistic(self, mp, method):
+    def test_edge_flow_is_logistic(self, mp, integrator):
         # On the edge where player 2 plays H, player 1's H share obeys
         # dx/dt = x(1-x) W with W = M[H][H] - M[T][H] = 2, giving the
         # explicit solution x(t) = 1 / (1 + ((1-x0)/x0) exp(-2t)).
         x0 = 0.3
-        cfg = IntegratorConfig(step=0.01, horizon=4.0, method=method)
+        cfg = IntegratorConfig(step=0.01, horizon=4.0)
         tr = integrate(mp, mixed([x0, 1 - x0], [1.0, 0.0]), cfg)
         expected = 1.0 / (1.0 + ((1 - x0) / x0) * np.exp(-2.0 * tr.times))
         assert np.abs(tr.states[0][:, 0] - expected).max() < 1e-6
@@ -164,10 +173,13 @@ class TestIntegration:
         fine = integrate(mp, z0, IntegratorConfig(step=0.0005, horizon=5.0))
         assert np.abs(coarse.final.vectors[0] - fine.final.vectors[0]).max() < 1e-6
 
-    def test_log_and_direct_methods_agree(self, mp, rps):
+    def test_log_and_direct_methods_agree(self, mp, rps, monkeypatch):
+        cfg = IntegratorConfig(step=0.01, horizon=20.0)
         for g, z0 in ((mp, mixed([0.9, 0.1], [0.2, 0.8])), (rps, mixed([0.2, 0.3, 0.5]))):
-            a = integrate(g, z0, IntegratorConfig(step=0.01, horizon=20.0, method="rk4-log"))
-            b = integrate(g, z0, IntegratorConfig(step=0.01, horizon=20.0, method="rk4-direct"))
+            a = integrate(g, z0, cfg)
+            with monkeypatch.context() as patch:
+                patch.setattr(zsflow.dynamics, "_flow", direct_flow)
+                b = integrate(g, z0, cfg)
             for va, vb in zip(a.final.vectors, b.final.vectors):
                 assert np.abs(va - vb).max() < 1e-9
 
@@ -190,9 +202,10 @@ class TestIntegration:
         tr2 = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=1.0))
         assert tr2.mass is None and tr2.dist is None
 
-    def test_unstable_direct_run_raises(self):
+    def test_unstable_direct_run_raises(self, monkeypatch):
+        monkeypatch.setattr(zsflow.dynamics, "_flow", direct_flow)
         g = make_game([[1000, -1000], [-1000, 1000]], "non-symmetric")
-        cfg = IntegratorConfig(step=0.1, horizon=2.0, method="rk4-direct")
+        cfg = IntegratorConfig(step=0.1, horizon=2.0)
         with pytest.raises(IntegrationError):
             integrate(g, mixed([0.5, 0.5], [0.9, 0.1]), cfg)
 
@@ -207,8 +220,7 @@ class TestIntegration:
             assert np.array_equal(batch[k].states[1], single.states[1])
             assert np.array_equal(batch[k].mass, single.mass)
 
-    @pytest.mark.parametrize("method", ["rk4-log", "rk4-direct"])
-    def test_batch_with_mixed_supports(self, diamond, method):
+    def test_batch_with_mixed_supports(self, diamond, integrator):
         # Starts on different faces run in one batch; each must match its
         # own single run and keep its zero coordinates exactly zero.
         starts = [
@@ -218,7 +230,7 @@ class TestIntegration:
             mixed([1.0, 0.0, 0.0], [0.2, 0.0, 0.8]),
         ]
         H = sink_component(build_graph(diamond))
-        cfg = IntegratorConfig(step=0.01, horizon=5.0, method=method)
+        cfg = IntegratorConfig(step=0.01, horizon=5.0)
         batch = integrate_batch(diamond, starts, cfg, H=H)
         for z, tr in zip(starts, batch):
             single = integrate(diamond, z, cfg, H=H)

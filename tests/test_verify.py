@@ -140,7 +140,7 @@ class TestNash:
         assert len(calls) == 25 and len(set(map(id, calls))) == 25
 
     def test_stops_at_a_failed_essential_verdict(self, monkeypatch):
-        monkeypatch.setattr(zsflow.equilibrium, "is_strongly_connected", lambda pg, subset: False)
+        monkeypatch.setattr(zsflow.equilibrium, "_connectivity", lambda pg, inside: (False, 0))
         report = verify_nash(5, 1)
         assert not report["passed"] and report["checked"] == 1
         assert report["failures"] == [
