@@ -98,6 +98,7 @@ class TestConfig:
             {"step": 0.2},
             {"step": 0.1, "horizon": 0.1},
             {"horizon": -1.0},
+            {"step": math.inf},
             {"horizon": math.inf},
             {"horizon": math.nan},
             {"step": math.nan},
