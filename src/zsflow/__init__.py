@@ -5,9 +5,6 @@ from .content import (
     Content,
     content_of,
     content_to_dict,
-    distance_to_content,
-    in_content,
-    mass_on,
     maximal_subgames,
 )
 from .dynamics import (
@@ -18,12 +15,8 @@ from .dynamics import (
     check_embedding,
     integrate,
     integrate_batch,
-    lyapunov_rate,
     lyapunov_rates,
     mass_monotone,
-    mwu_step,
-    rhs,
-    time_average,
     write_trajectory_csv,
     write_trajectory_svg,
 )
@@ -32,28 +25,19 @@ from .equilibrium import (
     NoEquilibriumError,
     PreferenceNashReport,
     certificate_to_dict,
-    essential_subgame,
     solve_nash,
-    verify_preference_nash,
 )
 from .game import (
     Game,
     GameFormatError,
-    IncomparableProfilesError,
     MixedProfile,
-    comparable,
-    expected_payoff,
     game_to_dict,
     game_to_json,
     load_game,
     make_game,
     mixed,
     parse_game,
-    product_mass,
-    profile_masses,
-    pure_profile,
     uniform_profile,
-    weight,
 )
 from .prefgraph import (
     Arc,
@@ -61,7 +45,6 @@ from .prefgraph import (
     SccPartition,
     SinkUniquenessError,
     build_graph,
-    is_strongly_connected,
     scc,
     sink_component,
     to_dot,

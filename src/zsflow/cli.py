@@ -331,7 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (GameFormatError, FileNotFoundError, IsADirectoryError, ValueError) as exc:
+    except (GameFormatError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:

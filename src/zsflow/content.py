@@ -1,26 +1,16 @@
-"""Content of a node set: mixed profiles whose product support lies inside it."""
+"""Content of a node set: mixed profiles whose product support lies inside it.
+
+A content is reported as its maximal product subgames.  The mass a state puts
+on the node set, and so its distance to the content, is recorded along
+trajectories: integrate with H carries both series.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
 
-from .game import Game, MixedProfile, Profile, product_mass
-
-
-def mass_on(z: MixedProfile, H: Iterable[Profile]) -> float:
-    """Total product mass z places on the profiles in H."""
-    return float(sum(product_mass(z, p) for p in frozenset(H)))
-
-
-def in_content(z: MixedProfile, H: Iterable[Profile], atol: float = 0.0) -> bool:
-    """Whether supp(z) is contained in H as a product set (mass_on == 1)."""
-    return z.profile_support(atol) <= frozenset(H)
-
-
-def distance_to_content(z: MixedProfile, H: Iterable[Profile]) -> float:
-    """1 - mass_on(z, H); zero exactly on the content."""
-    return 1.0 - mass_on(z, H)
+from .game import Game, Profile
 
 
 def maximal_subgames(H: Iterable[Profile], g: Game):
@@ -63,9 +53,6 @@ class Content:
 
     profiles: frozenset
     subgames: tuple
-
-    def contains(self, z: MixedProfile, atol: float = 0.0) -> bool:
-        return in_content(z, self.profiles, atol)
 
 
 def content_of(H: Iterable[Profile], g: Game) -> Content:

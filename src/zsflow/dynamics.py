@@ -1,6 +1,5 @@
-"""Replicator dynamics: vector fields, fixed-step RK4 integration, Lyapunov
-rates for the sink component, the product-distribution embedding check, and
-multiplicative-weights steps.
+"""Replicator dynamics: fixed-step RK4 integration, Lyapunov rates for the
+sink component, and the product-distribution embedding check.
 
 Both game modes run through one skew operator on the stacked state z = [x; y]:
 K = [[0, M], [-M^T, 0]] with player blocks starting at 0 and n, and K = M with
@@ -11,7 +10,12 @@ The integrator advances u = log z with classic RK4 and recovers z by a
 softmax within each block.  Coordinates outside the support are u = log 0 =
 -inf, which the update keeps exactly, so faces of the simplex are invariant and
 starts with different supports batch together.  A direct RK4 on the simplex
-with per-step renormalisation checks it from the tests (tests/dynamics_oracle.py).
+with per-step renormalisation checks it from the tests (tests/dynamics_oracle.py),
+as does a multiplicative-weights step, whose small-step limit is the flow.
+
+The sink-mass growth rate is evaluated in O(nm) per point, without the
+(nm) x (nm) symmetrised matrix; only the embedding check, whose claim is the
+explicit symmetrised field, builds that matrix.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .game import Game, MixedProfile, Profile, _check_shape, profile_masses
+from .game import Game, MixedProfile, Profile, _check_shape
 from .prefgraph import build_graph, node_mask, sink_component
 from .symmetrise import sym_float_matrix
 
@@ -82,10 +86,6 @@ class Trajectory:
         return MixedProfile(tuple(s[k] for s in self.states))
 
     @property
-    def initial(self) -> MixedProfile:
-        return self.state(0)
-
-    @property
     def final(self) -> MixedProfile:
         return self.state(len(self) - 1)
 
@@ -126,13 +126,6 @@ def _softmax(op: _Operator, U: np.ndarray) -> np.ndarray:
 def _field(op: _Operator, Z: np.ndarray) -> np.ndarray:
     P = Z @ op.KT
     return Z * (P - _per_block(op, np.add, Z * P))
-
-
-def rhs(g: Game, z: MixedProfile) -> tuple[np.ndarray, ...]:
-    """Replicator velocities at z, one vector per player."""
-    _check_shape(g, z)
-    op = _operator(g)
-    return tuple(np.split(_field(op, _stack([z]))[0], op.starts[1:]))
 
 
 def _profile_masses(g: Game, Z: np.ndarray) -> np.ndarray:
@@ -235,31 +228,35 @@ def lyapunov_rates(g: Game, H: Iterable[Profile], zs: Sequence[MixedProfile]) ->
 
     H must be the certified sink component of g's preference graph; it is
     certified once for all points.  Each rate is the weighted cut sum between
-    H and its complement under the product masses of z, through M for a
-    symmetric game and the symmetrised matrix otherwise.
+    H and its complement under the product masses of z, in O(nm) per point.
     """
     for z in zs:
         _check_shape(g, z)
     pg = build_graph(g)
     Hset = frozenset(H)
     if Hset != sink_component(pg):
-        raise ValueError("lyapunov_rate requires the certified sink component of the game")
-    X = np.array([profile_masses(z) for z in zs]).reshape(len(zs), len(pg.nodes))
-    return _sink_rates(g, node_mask(pg, Hset), X)
+        raise ValueError("lyapunov_rates requires the certified sink component of the game")
+    return _sink_rates(g, node_mask(pg, Hset), _stack(zs)) if len(zs) else np.zeros(0)
 
 
-def _sink_rates(g: Game, inside: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Cut-sum growth rates of the mass on the sink mask inside at each row of
-    the product masses X."""
-    if inside.all():
-        return np.zeros(len(X))
-    S = g.float_view if g.symmetric else sym_float_matrix(g)
-    return ((X[:, inside] @ S[np.ix_(inside, ~inside)]) * X[:, ~inside]).sum(axis=1)
+def _sink_rates(g: Game, inside: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Cut-sum growth rates of the mass on the sink mask inside at each
+    stacked state in Z: x_p S[p, q] x_q summed over p inside and q outside.
 
-
-def lyapunov_rate(g: Game, H: Iterable[Profile], z: MixedProfile) -> float:
-    """lyapunov_rates at the single point z."""
-    return float(lyapunov_rates(g, H, [z])[0])
+    S is M for a symmetric game.  Otherwise S[(i,j),(k,l)] = M[i,l] - M[k,j]
+    factors the sum as a_in M b_out - a_out M b_in, with a_in, b_in the row
+    and column sums of the product masses inside the sink, a_out, b_out those
+    outside.
+    """
+    if g.symmetric:
+        M = g.float_view
+        return ((Z[:, inside] @ M[np.ix_(inside, ~inside)]) * Z[:, ~inside]).sum(axis=1)
+    x, y = Z[:, : g.n], Z[:, g.n :]
+    B = inside.reshape(g.n, g.m).astype(float)
+    a_in, a_out = x * (y @ B.T), x * (y @ (1.0 - B).T)
+    b_in, b_out = y * (x @ B), y * (x @ (1.0 - B))
+    M = g.float_view
+    return ((a_in @ M) * b_out).sum(axis=1) - ((a_out @ M) * b_in).sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -290,23 +287,6 @@ def _embedding_residuals(g: Game, Z: np.ndarray) -> np.ndarray:
     via_product_rule = (dx * y + x * dy).reshape(len(Z), n * g.m)
     X = _profile_masses(g, Z)
     return np.abs(via_product_rule - X * (X @ sym_float_matrix(g).T))
-
-
-def mwu_step(g: Game, z: MixedProfile, eta: float) -> MixedProfile:
-    """One multiplicative-weights update x'_s proportional to x_s e^(eta u_s)."""
-    if not (eta > 0):
-        raise ValueError("eta must be positive")
-    _check_shape(g, z)
-    op = _operator(g)
-    Z = _stack([z])
-    with np.errstate(divide="ignore"):
-        W = _softmax(op, np.log(Z) + eta * (Z @ op.KT))[0]
-    return MixedProfile(tuple(np.split(W, op.starts[1:])))
-
-
-def time_average(tr: Trajectory) -> MixedProfile:
-    """Coordinate-wise mean state over the uniformly spaced samples."""
-    return MixedProfile(tuple(s.mean(axis=0) for s in tr.states))
 
 
 def mass_monotone(mass: np.ndarray, slack: float = 1e-8, saturation: float = 1e-12) -> bool:

@@ -248,20 +248,6 @@ def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
     )
 
 
-def essential_subgame(g: Game) -> tuple[tuple[int, ...], ...]:
-    """Product of the unions of equilibrium supports over all equilibria found."""
-    return _union(g, _enumerate_equilibria(g))
-
-
-def verify_preference_nash(g: Game, pg: PreferenceGraph | None = None) -> PreferenceNashReport:
-    """Check that the essential subgame sits inside the sink component and is
-    strongly connected there; ties are reported, not resolved.
-
-    pg is the preference graph of g if the caller has built it already.
-    """
-    return solve_nash(g, pg).essential
-
-
 def certificate_to_dict(cert: NashCertificate, g: Game) -> dict:
     """JSON-friendly certificate with strategy labels."""
     vecs = [[float(v) for v in vec] for vec in cert.equilibrium.vectors]

@@ -18,12 +18,11 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Literal, Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
 Profile = Union[int, "tuple[int, int]"]
-Comparability = Optional[Literal[1, 2, "all"]]
 
 # Simplex membership tolerance for mixed profiles built from user input.
 SIMPLEX_ATOL = 1e-12
@@ -35,10 +34,6 @@ SUPPORT_ATOL = 1e-10
 
 class GameFormatError(ValueError):
     """A game file or matrix failed validation."""
-
-
-class IncomparableProfilesError(ValueError):
-    """A payoff difference was requested for an incomparable profile pair."""
 
 
 def _as_fraction(value: object, where: str) -> Fraction:
@@ -270,46 +265,6 @@ def game_to_json(g: Game) -> str:
     return json.dumps(game_to_dict(g), indent=2) + "\n"
 
 
-def comparable(g: Game, a: Profile, b: Profile) -> Comparability:
-    """Which single player could move between profiles a and b.
-
-    Returns 1 or 2 for the deviating player, "all" for any distinct pair of a
-    symmetric game, and None for equal or incomparable profiles.
-    """
-    for p in (a, b):
-        if not g.contains_profile(p):
-            raise ValueError(f"{p!r} is not a profile of this game")
-    if a == b:
-        return None
-    if g.symmetric:
-        return "all"
-    if a[1] == b[1]:
-        return 1
-    if a[0] == b[0]:
-        return 2
-    return None
-
-
-def weight(g: Game, p: Profile, q: Profile) -> Fraction:
-    """Payoff advantage of q over p for the player who can move between them.
-
-    Skew-symmetric: weight(q, p) == -weight(p, q).  Negative means the mover
-    prefers q, so the preference arc points from p to q.  Raises for pairs
-    that are not comparable ("W_{p,q} is undefined").
-    """
-    who = comparable(g, p, q)
-    if who is None:
-        raise IncomparableProfilesError(
-            f"W_(p,q) is undefined for incomparable profiles {p!r}, {q!r}"
-        )
-    I = g.int_view
-    if g.symmetric:
-        diff = I[p, q]
-    else:
-        diff = I[p] - I[q] if who == 1 else I[q] - I[p]
-    return Fraction(int(diff), g.int_scale)
-
-
 @dataclass(frozen=True, eq=False)
 class MixedProfile:
     """A mixed profile: one simplex vector per player (one for symmetric games).
@@ -348,13 +303,6 @@ class MixedProfile:
         """Per-player indices with mass above atol (strictly positive if 0)."""
         return tuple(tuple(int(i) for i in np.nonzero(v > atol)[0]) for v in self.vectors)
 
-    def profile_support(self, atol: float = 0.0) -> frozenset[Profile]:
-        """Product of the per-player supports as a set of profiles."""
-        sup = self.support(atol)
-        if self.symmetric:
-            return frozenset(sup[0])
-        return frozenset((i, j) for i in sup[0] for j in sup[1])
-
 
 def mixed(*vectors) -> MixedProfile:
     """Convenience constructor: mixed(x) or mixed(x1, x2)."""
@@ -367,20 +315,6 @@ def uniform_profile(g: Game) -> MixedProfile:
     return mixed(np.full(g.n, 1.0 / g.n), np.full(g.m, 1.0 / g.m))
 
 
-def pure_profile(g: Game, p: Profile) -> MixedProfile:
-    if not g.contains_profile(p):
-        raise ValueError(f"{p!r} is not a profile of this game")
-    if g.symmetric:
-        x = np.zeros(g.n)
-        x[p] = 1.0
-        return mixed(x)
-    x1 = np.zeros(g.n)
-    x2 = np.zeros(g.m)
-    x1[p[0]] = 1.0
-    x2[p[1]] = 1.0
-    return mixed(x1, x2)
-
-
 def _check_shape(g: Game, z: MixedProfile) -> None:
     if g.symmetric:
         if not z.symmetric or z.vectors[0].size != g.n:
@@ -388,28 +322,3 @@ def _check_shape(g: Game, z: MixedProfile) -> None:
     else:
         if z.symmetric or z.vectors[0].size != g.n or z.vectors[1].size != g.m:
             raise ValueError("mixed profile does not match the game dimensions")
-
-
-def expected_payoff(g: Game, z: MixedProfile) -> float:
-    """Row player's bilinear payoff at z (x M x for symmetric games)."""
-    _check_shape(g, z)
-    M = g.float_view
-    if g.symmetric:
-        x = z.vectors[0]
-        return float(x @ M @ x)
-    x1, x2 = z.vectors
-    return float(x1 @ M @ x2)
-
-
-def product_mass(z: MixedProfile, p: Profile) -> float:
-    """Mass the product distribution of z places on pure profile p."""
-    if z.symmetric:
-        return float(z.vectors[0][p])
-    return float(z.vectors[0][p[0]] * z.vectors[1][p[1]])
-
-
-def profile_masses(z: MixedProfile) -> np.ndarray:
-    """Product masses over all profiles, row-major (the vector x with x_p = x1_{p1} x2_{p2})."""
-    if z.symmetric:
-        return np.array(z.vectors[0], dtype=float)
-    return np.outer(z.vectors[0], z.vectors[1]).ravel()

@@ -263,11 +263,6 @@ def node_mask(pg: PreferenceGraph, subset: Iterable[Profile]) -> np.ndarray:
     return inside
 
 
-def is_strongly_connected(pg: PreferenceGraph, subset: Iterable[Profile]) -> bool:
-    """Whether the subgraph induced by subset is strongly connected."""
-    return _connectivity(pg, node_mask(pg, subset))[0]
-
-
 def _connectivity(pg: PreferenceGraph, inside: np.ndarray) -> tuple[bool, int]:
     """Whether the masked nodes induce a strongly connected subgraph, and their tied pairs."""
     if not inside.any():

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .game import Game, GameFormatError, Profile
+from .game import Game, GameFormatError
 from .prefgraph import build_graph
 
 
@@ -38,9 +38,6 @@ class SymmetrisedGame:
             return NotImplemented
         mine = (self.base, self.profile_order, self.ints.tolist())
         return mine == (other.base, other.profile_order, other.ints.tolist())
-
-    def index(self, p: Profile) -> int:
-        return p[0] * self.base.m + p[1]
 
     def as_game(self) -> Game:
         """The symmetrised matrix as a symmetric-mode Game (labels 'r,c')."""

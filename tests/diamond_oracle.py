@@ -34,7 +34,6 @@ from zsflow import (
     Game,
     SinkUniquenessError,
     build_graph,
-    essential_subgame,
     make_game,
     sink_component,
     solve_nash,
@@ -60,7 +59,7 @@ def _matches(g: Game) -> bool:
     x, y = cert.equilibrium.vectors
     if np.abs(x - TARGET_EQ).max() > 1e-9 or np.abs(y - TARGET_EQ).max() > 1e-9:
         return False
-    return essential_subgame(g) == ((1, 2), (1, 2))
+    return cert.essential.subgame == ((1, 2), (1, 2))
 
 
 @lru_cache(maxsize=1)

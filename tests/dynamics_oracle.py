@@ -1,8 +1,9 @@
-"""Direct RK4 on the simplex: the reference for the log-coordinate integrator.
+"""References for the replicator flow: direct RK4 on the simplex, one
+multiplicative-weights step, and the dense sink-mass rate.
 
-It advances the stacked state z itself with classic RK4 on the replicator
-field, clips the tiny negatives the step can leave and renormalises each
-player block after every step; a step that leaves a non-finite or clearly
+``direct_flow`` advances the stacked state z itself with classic RK4 on the
+replicator field, clips the tiny negatives the step can leave and
+renormalises each player block after every step; a step that leaves a non-finite or clearly
 negative coordinate raises IntegrationError.  Off-support coordinates stay
 zero because the field vanishes there, where the library keeps them at
 log 0 = -inf, so agreement with ``zsflow.dynamics._flow`` checks the
@@ -10,14 +11,29 @@ log-coordinate update and its softmax against a different formula.
 
 ``direct_flow`` has the signature of ``_flow``; tests swap it in with
 monkeypatch so that ``integrate`` and ``integrate_batch`` run on it.
+
+``mwu_step`` is x'_s proportional to x_s e^(eta u_s); as eta -> 0 its
+displacement per unit eta tends to the replicator field.  ``dense_sink_rates``
+is the cut sum through the explicit (nm) x (nm) symmetrised matrix, the form
+that ``zsflow.dynamics._sink_rates`` factors into row and column sums.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from zsflow import IntegrationError, IntegratorConfig
-from zsflow.dynamics import _field, _Operator, _per_block
+from zsflow import Game, IntegrationError, IntegratorConfig, MixedProfile
+from zsflow.dynamics import (
+    _field,
+    _operator,
+    _Operator,
+    _per_block,
+    _profile_masses,
+    _softmax,
+    _stack,
+)
+from zsflow.game import _check_shape
+from zsflow.symmetrise import sym_float_matrix
 
 
 def direct_flow(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
@@ -43,3 +59,23 @@ def direct_flow(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndar
         Z /= _per_block(op, np.add, Z)
         out[k + 1] = Z
     return out
+
+
+def mwu_step(g: Game, z: MixedProfile, eta: float) -> MixedProfile:
+    """One multiplicative-weights update x'_s proportional to x_s e^(eta u_s)."""
+    if not (eta > 0):
+        raise ValueError("eta must be positive")
+    _check_shape(g, z)
+    op = _operator(g)
+    Z = _stack([z])
+    with np.errstate(divide="ignore"):
+        W = _softmax(op, np.log(Z) + eta * (Z @ op.KT))[0]
+    return MixedProfile(tuple(np.split(W, op.starts[1:])))
+
+
+def dense_sink_rates(g: Game, inside: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """x_p S[p, q] x_q summed over p in the sink mask inside and q outside,
+    with S = M for a symmetric game and the symmetrised matrix otherwise."""
+    X = _profile_masses(g, Z)
+    S = g.float_view if g.symmetric else sym_float_matrix(g)
+    return ((X[:, inside] @ S[np.ix_(inside, ~inside)]) * X[:, ~inside]).sum(axis=1)

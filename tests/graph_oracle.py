@@ -1,22 +1,68 @@
 """Reference implementations of the graph -> sink -> content chain.
 
-These are the per-pair Fraction arc builder, the profile-keyed Tarjan and the
-2^rows subset scan that the library used before it moved to integer index
-arrays and the intersection closure.  They share no code with
-``zsflow.prefgraph`` or ``zsflow.content`` beyond the game's exact ``weight``
-function and the result types, so any difference is an error in the array
-versions.
+These are the paper's per-pair definitions (``comparable`` and the weight
+``W_{p,q}``), and the per-pair Fraction arc builder, the profile-keyed Tarjan
+and the 2^rows subset scan that the library used before it moved to integer
+index arrays and the intersection closure.  They share no code with
+``zsflow.prefgraph`` or ``zsflow.content`` beyond the game's exact payoffs
+and the result types, so any difference is an error in the array versions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Literal, Optional
 
 import numpy as np
 
-from zsflow import Arc, Game, SccPartition, make_game, random_game, weight
+from zsflow import Arc, Game, SccPartition, make_game, random_game
 from zsflow.game import Profile
+
+Comparability = Optional[Literal[1, 2, "all"]]
+
+
+class IncomparableProfilesError(ValueError):
+    """A payoff difference was requested for an incomparable profile pair."""
+
+
+def comparable(g: Game, a: Profile, b: Profile) -> Comparability:
+    """Which single player could move between profiles a and b.
+
+    Returns 1 or 2 for the deviating player, "all" for any distinct pair of a
+    symmetric game, and None for equal or incomparable profiles.
+    """
+    for p in (a, b):
+        if not g.contains_profile(p):
+            raise ValueError(f"{p!r} is not a profile of this game")
+    if a == b:
+        return None
+    if g.symmetric:
+        return "all"
+    if a[1] == b[1]:
+        return 1
+    if a[0] == b[0]:
+        return 2
+    return None
+
+
+def weight(g: Game, p: Profile, q: Profile) -> Fraction:
+    """Payoff advantage of q over p for the player who can move between them.
+
+    Skew-symmetric: weight(q, p) == -weight(p, q).  Negative means the mover
+    prefers q, so the preference arc points from p to q.  Raises for pairs
+    that are not comparable ("W_{p,q} is undefined").
+    """
+    who = comparable(g, p, q)
+    if who is None:
+        raise IncomparableProfilesError(
+            f"W_(p,q) is undefined for incomparable profiles {p!r}, {q!r}"
+        )
+    I = g.int_view
+    if g.symmetric:
+        diff = I[p, q]
+    else:
+        diff = I[p] - I[q] if who == 1 else I[q] - I[p]
+    return Fraction(int(diff), g.int_scale)
 
 
 def _comparable_pairs(g: Game) -> Iterable[tuple[Profile, Profile]]:

@@ -2,9 +2,9 @@
 
 These are the per-pair Fraction constructions the library used before it
 moved to one integer array per game and read W from the preference graph.
-They share no code with ``zsflow.symmetrise`` or ``zsflow.prefgraph`` beyond
-the game's exact ``weight`` function, so any difference is an error in the
-array versions.
+They share no code with ``zsflow.symmetrise`` or ``zsflow.prefgraph``: the
+weights come from the per-pair ``weight`` in ``graph_oracle``, so any
+difference is an error in the array versions.
 """
 
 from __future__ import annotations
@@ -13,8 +13,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from zsflow import Game, make_game, random_game, weight
+from zsflow import Game, make_game, random_game
 from zsflow.game import Profile
+
+from graph_oracle import weight
 
 
 def oracle_symmetrise(g: Game) -> tuple[tuple[Fraction, ...], ...]:

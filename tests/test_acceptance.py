@@ -17,7 +17,6 @@ from zsflow import (
     integrate_batch,
     mass_monotone,
     mixed,
-    mwu_step,
     sink_component,
     solve_nash,
 )
@@ -31,6 +30,7 @@ from zsflow.verify import (
 )
 
 from diamond_oracle import diamond_game
+from dynamics_oracle import mwu_step
 
 # Conservation evidence recorded by criteria 7 and 9 for criterion 11.
 _recorded: dict[str, float] = {}

@@ -79,6 +79,13 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(tmp_path / "nope.json"))
         assert code == 2 and "error:" in err
 
+    def test_game_path_through_a_file_exits_2(self, capsys, tmp_path):
+        # A file used as a directory raises NotADirectoryError, an OSError.
+        (tmp_path / "plain.txt").write_text("")
+        code, out, err = run_cli(capsys, "analyze", str(tmp_path / "plain.txt" / "x.json"))
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
     def test_malformed_game(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{"mode": "non-symmetric", "matrix": [[1, 2], [3]]}')
@@ -310,6 +317,15 @@ class TestSimulate:
             )
             assert code == 2, spec
             assert "error:" in err
+
+    def test_csv_path_through_a_file_exits_2(self, capsys, games_dir, tmp_path):
+        (tmp_path / "plain.txt").write_text("")
+        code, _, err = run_cli(
+            capsys, "simulate", str(games_dir / "diamond.json"), "--horizon", "1",
+            "--csv", str(tmp_path / "plain.txt" / "x.csv"),
+        )
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
 
     def test_non_finite_horizon(self, capsys, games_dir, tmp_path):
         game = str(games_dir / "matching_pennies.json")

@@ -1,4 +1,6 @@
-"""Content membership, mass and the maximal-subgame decomposition."""
+"""Mass on a content, membership in it, and the maximal-subgame decomposition."""
+
+import itertools
 
 import numpy as np
 import pytest
@@ -7,13 +9,9 @@ from zsflow import (
     IntegratorConfig,
     build_graph,
     content_of,
-    distance_to_content,
-    in_content,
     integrate,
-    mass_on,
     maximal_subgames,
     mixed,
-    pure_profile,
     random_game,
     random_mixed_profile,
     sink_component,
@@ -21,6 +19,16 @@ from zsflow import (
 )
 
 from graph_oracle import oracle_corpus, oracle_maximal_subgames
+
+
+def first(g, z, H):
+    """Zero-horizon trajectory from z with its mass and distance series on H."""
+    return integrate(g, z, IntegratorConfig(horizon=0.0), H=H)
+
+
+def in_product(z, H) -> bool:
+    """Whether the product of the per-player supports of z lies inside H."""
+    return set(itertools.product(*z.support())) <= set(H)
 
 
 def brute_force_bicliques(H, n, m):
@@ -47,42 +55,43 @@ def brute_force_bicliques(H, n, m):
 class TestMass:
     def test_full_sink_mass_is_one(self, mp):
         H = sink_component(build_graph(mp))
-        assert mass_on(uniform_profile(mp), H) == pytest.approx(1.0, abs=1e-12)
+        assert first(mp, uniform_profile(mp), H).mass[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_point_outside(self, diamond):
         H = sink_component(build_graph(diamond))
-        assert mass_on(pure_profile(diamond, (0, 0)), H) == 0.0
+        assert first(diamond, mixed([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]), H).mass[0] == 0.0
 
     def test_partial_mass(self, mp):
         z = mixed([0.5, 0.5], [1.0, 0.0])
-        assert mass_on(z, {(0, 0)}) == pytest.approx(0.5)
+        assert first(mp, z, {(0, 0)}).mass[0] == pytest.approx(0.5)
 
     def test_distance_complements_mass(self, mp):
         z = mixed([0.5, 0.5], [0.5, 0.5])
-        assert distance_to_content(z, {(0, 0)}) == pytest.approx(0.75)
+        assert first(mp, z, {(0, 0)}).dist[0] == pytest.approx(0.75)
 
     def test_symmetric_mass_is_coordinate_sum(self, rps):
         z = mixed([0.2, 0.5, 0.3])
-        assert mass_on(z, {0, 2}) == pytest.approx(0.5)
+        assert first(rps, z, {0, 2}).mass[0] == pytest.approx(0.5)
 
 
 class TestMembership:
     def test_subgame_point_inside(self, diamond):
         H = sink_component(build_graph(diamond))
         z = mixed([0.0, 0.5, 0.5], [0.0, 0.5, 0.5])
-        assert in_content(z, H)
-        assert mass_on(z, H) == pytest.approx(1.0, abs=1e-12)
+        assert in_product(z, H)
+        assert first(diamond, z, H).mass[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_interior_point_outside_proper_set(self, diamond):
         H = sink_component(build_graph(diamond))
-        assert not in_content(uniform_profile(diamond), H)
+        assert first(diamond, uniform_profile(diamond), H).dist[0] > 0.0
 
     def test_pure_point_inside(self, diamond):
         H = sink_component(build_graph(diamond))
-        assert in_content(pure_profile(diamond, (1, 2)), H)
+        assert first(diamond, mixed([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]), H).dist[0] == 0.0
 
     def test_membership_iff_unit_mass(self):
-        # Exact-zero starts: membership coincides with mass_on == 1.
+        # Exact-zero starts: the product support lies in H exactly when the
+        # mass series starts at 1.
         rng = np.random.default_rng(11)
         for _ in range(50):
             n = int(rng.integers(1, 5))
@@ -93,7 +102,7 @@ class TestMembership:
             chosen = rng.choice(len(profiles), size=k, replace=False)
             H = {profiles[i] for i in chosen}
             z = random_mixed_profile(rng, g, interior=False)
-            assert in_content(z, H) == (abs(mass_on(z, H) - 1.0) <= 1e-12)
+            assert in_product(z, H) == (abs(first(g, z, H).mass[0] - 1.0) <= 1e-12)
 
 
 class TestMaximalSubgames:
@@ -161,4 +170,5 @@ class TestContentInvariance:
         c = content_of(H, diamond)
         assert c.profiles == H
         assert len(c.subgames) == 2
-        assert c.contains(mixed([0.0, 0.5, 0.5], [0.0, 0.5, 0.5]))
+        z = mixed([0.0, 0.5, 0.5], [0.0, 0.5, 0.5])
+        assert first(diamond, z, c.profiles).mass[0] == pytest.approx(1.0, abs=1e-12)

@@ -1,8 +1,9 @@
-"""Replicator flow, embedding, Lyapunov rate, MWU, and trajectory output."""
+"""Replicator flow, embedding, Lyapunov rate, the MWU oracle, and trajectory output."""
 from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,24 +17,25 @@ from zsflow import (
     check_embedding,
     integrate,
     integrate_batch,
-    lyapunov_rate,
     lyapunov_rates,
     make_game,
     mass_monotone,
     mixed,
-    mwu_step,
-    profile_masses,
-    pure_profile,
-    rhs,
     sink_component,
-    time_average,
     uniform_profile,
     write_trajectory_csv,
     write_trajectory_svg,
 )
-from zsflow.sampling import game_corpus, random_game, random_mixed_profile
+from zsflow.dynamics import _field, _operator, _sink_rates, _stack
+from zsflow.sampling import game_corpus, random_game, random_interior_stack, random_mixed_profile
 
-from dynamics_oracle import direct_flow
+from dynamics_oracle import dense_sink_rates, direct_flow, mwu_step
+
+
+def field(g, z):
+    """Replicator velocities at z, one vector per player."""
+    op = _operator(g)
+    return np.split(_field(op, _stack([z]))[0], op.starts[1:])
 
 
 @pytest.fixture(params=["rk4-log", "rk4-direct"])
@@ -49,19 +51,19 @@ class TestVectorFields:
     def test_rps_edge_point_frozen(self, rps):
         # At x = (1/2, 1/2, 0): (Mx)_R = -1/2, (Mx)_P = 1/2, and x^T M x = 0
         # for any anti-symmetric M, so dx = x * (Mx) = (-1/4, 1/4, 0).
-        (dx,) = rhs(rps, mixed([0.5, 0.5, 0.0]))
+        (dx,) = field(rps, mixed([0.5, 0.5, 0.0]))
         assert np.allclose(dx, [-0.25, 0.25, 0.0], atol=1e-15)
 
     def test_uniform_points_are_fixed(self, mp, rps):
-        (dx,) = rhs(rps, uniform_profile(rps))
+        (dx,) = field(rps, uniform_profile(rps))
         assert np.abs(dx).max() < 1e-15
-        du, dv = rhs(mp, uniform_profile(mp))
+        du, dv = field(mp, uniform_profile(mp))
         assert np.abs(du).max() < 1e-15 and np.abs(dv).max() < 1e-15
 
     def test_pure_points_are_fixed(self, mp, rps):
-        du, dv = rhs(mp, pure_profile(mp, (0, 1)))
+        du, dv = field(mp, mixed([1.0, 0.0], [0.0, 1.0]))
         assert np.abs(du).max() == 0.0 and np.abs(dv).max() == 0.0
-        (dx,) = rhs(rps, pure_profile(rps, 1))
+        (dx,) = field(rps, mixed([0.0, 1.0, 0.0]))
         assert np.abs(dx).max() == 0.0
 
     def test_tangency(self):
@@ -71,10 +73,10 @@ class TestVectorFields:
         for g in game_corpus(rng, 30):
             z = random_mixed_profile(rng, g)
             if g.symmetric:
-                (dx,) = rhs(g, z)
+                (dx,) = field(g, z)
                 assert abs(dx.sum()) < 1e-12
             else:
-                du, dv = rhs(g, z)
+                du, dv = field(g, z)
                 assert abs(du.sum()) < 1e-12 and abs(dv.sum()) < 1e-12
 
 
@@ -197,7 +199,8 @@ class TestIntegration:
         z0 = mixed([0.2, 0.5, 0.3], [0.4, 0.3, 0.3])
         tr = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=1.0), H=H)
         assert tr.mass is not None and tr.dist is not None
-        expected0 = sum(profile_masses(z0)[i] for i, p in enumerate(diamond.profiles()) if p in H)
+        masses = np.outer(*z0.vectors).ravel()
+        expected0 = sum(masses[i] for i, p in enumerate(diamond.profiles()) if p in H)
         assert abs(tr.mass[0] - expected0) < 1e-12
         assert np.abs(tr.mass + tr.dist - 1.0).max() < 1e-12
         tr2 = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=1.0))
@@ -245,18 +248,18 @@ class TestLyapunov:
     def test_rate_positive_inside_diamond_basin(self, diamond):
         H = sink_component(build_graph(diamond))
         z = mixed([0.5, 0.3, 0.2], [0.6, 0.2, 0.2])
-        assert lyapunov_rate(diamond, H, z) > 0.0
+        assert lyapunov_rates(diamond, H, [z])[0] > 0.0
 
     def test_rate_vanishes_on_full_sink(self, mp):
         H = sink_component(build_graph(mp))
         assert H == frozenset(mp.profiles())
         z = mixed([0.9, 0.1], [0.2, 0.8])
-        assert lyapunov_rate(mp, H, z) == 0.0
+        assert lyapunov_rates(mp, H, [z])[0] == 0.0
 
     def test_rejects_non_sink_set(self, diamond):
         z = mixed([0.5, 0.3, 0.2], [0.6, 0.2, 0.2])
         with pytest.raises(ValueError):
-            lyapunov_rate(diamond, frozenset({(1, 1), (2, 2)}), z)
+            lyapunov_rates(diamond, frozenset({(1, 1), (2, 2)}), [z])
 
     def test_batch_certifies_once(self, diamond, monkeypatch):
         H = sink_component(build_graph(diamond))
@@ -272,20 +275,21 @@ class TestLyapunov:
         rates = lyapunov_rates(diamond, H, zs)
         assert len(calls) == 1 and rates.shape == (20,)
         for z, rate in zip(zs, rates):
-            assert rate == pytest.approx(lyapunov_rate(diamond, H, z), rel=1e-12, abs=1e-15)
+            assert rate == pytest.approx(lyapunov_rates(diamond, H, [z])[0], rel=1e-12, abs=1e-15)
         with pytest.raises(ValueError):
             lyapunov_rates(diamond, frozenset({(1, 1), (2, 2)}), zs)
+        assert lyapunov_rates(diamond, H, []).shape == (0,)
 
     def test_matches_finite_difference(self, diamond):
         # d/dt x_H from a tiny integration step must agree with the closed
         # form cut rate.
         H = sink_component(build_graph(diamond))
         z = mixed([0.5, 0.3, 0.2], [0.6, 0.2, 0.2])
-        rate = lyapunov_rate(diamond, H, z)
+        rate = lyapunov_rates(diamond, H, [z])[0]
         cfg = IntegratorConfig(step=1e-4, horizon=2e-4)
         tr = integrate(diamond, z, cfg, H=H)
         fd = (tr.mass[2] - tr.mass[0]) / 2e-4
-        mid = lyapunov_rate(diamond, H, tr.state(1))
+        mid = lyapunov_rates(diamond, H, [tr.state(1)])[0]
         assert abs(fd - mid) < 1e-5
         assert abs(rate - mid) < 1e-3
 
@@ -298,11 +302,42 @@ class TestLyapunov:
         H = sink_component(build_graph(g))
         assert H == frozenset({1, 2, 3})
         z = mixed([0.4, 0.2, 0.2, 0.2])
-        rate = lyapunov_rate(g, H, z)
+        rate = lyapunov_rates(g, H, [z])[0]
         assert rate > 0.0
         tr = integrate(g, z, IntegratorConfig(step=1e-4, horizon=2e-4), H=H)
         fd = (tr.mass[2] - tr.mass[0]) / 2e-4
-        assert abs(fd - lyapunov_rate(g, H, tr.state(1))) < 1e-5
+        assert abs(fd - lyapunov_rates(g, H, [tr.state(1)])[0]) < 1e-5
+
+    def test_factored_rate_matches_dense_oracle(self):
+        # Random masks, not only sinks: the factoring is an identity of the
+        # cut sum, on interior points and on faces alike.
+        rng = np.random.default_rng(61)
+        for g in game_corpus(rng, 300, 8, 8, 8):
+            size = g.n if g.symmetric else g.n * g.m
+            inside = rng.random(size) < rng.uniform(0.0, 1.0)
+            boundary = [random_mixed_profile(rng, g, interior=False) for _ in range(10)]
+            Z = np.concatenate([random_interior_stack(rng, g, 10), _stack(boundary)])
+            fast, dense = _sink_rates(g, inside, Z), dense_sink_rates(g, inside, Z)
+            assert np.allclose(fast, dense, rtol=1e-12, atol=1e-15)
+
+    def test_rates_need_no_symmetrised_matrix(self):
+        # A strict saddle at (0, 0) is a proper sink of a 100x100 game, whose
+        # symmetrised matrix alone would take 800 MB.
+        rng = np.random.default_rng(62)
+        M = rng.integers(-9, 10, size=(100, 100))
+        M[0, 0], M[1:, 0], M[0, 1:] = 0, -10, 10
+        g = make_game(M.tolist())
+        sink = sink_component(build_graph(g))
+        assert sink == {(0, 0)}
+        zs = [random_mixed_profile(rng, g) for _ in range(50)]
+        tracemalloc.start()
+        try:
+            rates = lyapunov_rates(g, sink, zs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rates.shape == (50,) and np.all(rates > 0)
+        assert peak < 16 * 2**20
 
 
 class TestEmbedding:
@@ -334,7 +369,7 @@ class TestMwu:
         assert np.array_equal(zn.vectors[1], z.vectors[1])
 
     def test_pure_profiles_are_fixed(self, mp):
-        z = pure_profile(mp, (1, 0))
+        z = mixed([0.0, 1.0], [1.0, 0.0])
         zn = mwu_step(mp, z, 0.5)
         assert np.array_equal(zn.vectors[0], z.vectors[0])
         assert np.array_equal(zn.vectors[1], z.vectors[1])
@@ -348,7 +383,7 @@ class TestMwu:
         # (mwu(z, eta) - z)/eta -> replicator field as eta -> 0, with the
         # deviation shrinking linearly in eta.
         z = mixed([0.9, 0.1], [0.2, 0.8])
-        dx, dy = rhs(mp, z)
+        dx, dy = field(mp, z)
 
         def err(eta: float) -> float:
             zn = mwu_step(mp, z, eta)
@@ -368,22 +403,14 @@ class TestMwu:
 class TestSeriesHelpers:
     def test_time_average_of_constant_run(self, rps):
         tr = integrate(rps, uniform_profile(rps), IntegratorConfig(step=0.01, horizon=2.0))
-        avg = time_average(tr)
-        assert np.abs(avg.vectors[0] - 1 / 3).max() < 1e-12
-
-    def test_time_average_single_sample(self, mp):
-        z = mixed([0.9, 0.1], [0.2, 0.8])
-        tr = integrate(mp, z, IntegratorConfig(step=0.01, horizon=0.0))
-        avg = time_average(tr)
-        assert np.array_equal(avg.vectors[0], z.vectors[0])
+        assert np.abs(tr.states[0].mean(axis=0) - 1 / 3).max() < 1e-12
 
     def test_mp_time_average_approaches_centre(self, mp):
         # The MP orbit cycles, but its running average contracts toward the
         # unique equilibrium at the centre.
         z0 = mixed([0.9, 0.1], [0.2, 0.8])
         tr = integrate(mp, z0, IntegratorConfig(step=0.05, horizon=100.0))
-        avg = time_average(tr)
-        assert max(np.abs(v - 0.5).max() for v in avg.vectors) < 0.02
+        assert max(np.abs(s.mean(axis=0) - 0.5).max() for s in tr.states) < 0.02
 
     def test_mass_monotone(self):
         assert mass_monotone(np.array([0.2, 0.5, 0.9, 1.0]))

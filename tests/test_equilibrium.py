@@ -10,15 +10,13 @@ import pytest
 from zsflow import (
     build_graph,
     certificate_to_dict,
-    essential_subgame,
-    is_strongly_connected,
     make_game,
-    rhs,
     sink_component,
     solve_nash,
-    verify_preference_nash,
 )
+from zsflow.dynamics import _field, _operator, _stack
 from zsflow.equilibrium import CHUNK_ENTRIES, _enumerate_equilibria
+from zsflow.prefgraph import _connectivity, node_mask
 from zsflow.sampling import game_corpus
 
 from nash_oracle import enumerate_equilibria as oracle_equilibria
@@ -77,8 +75,8 @@ class TestCanonicalEquilibria:
         cert = solve_nash(g)
         assert cert.support == ((0,), (0,))
         assert cert.game_value == 0.0
-        assert essential_subgame(g) == ((0, 1), (0, 1))
-        rep = verify_preference_nash(g)
+        rep = cert.essential
+        assert rep.subgame == ((0, 1), (0, 1))
         assert rep.passed
         assert rep.zero_weight_arc_pairs == 4
 
@@ -161,30 +159,25 @@ class TestMinimaxConsistency:
     def test_equilibria_are_flow_fixed_points(self, mp, rps, diamond):
         for g in (mp, rps, diamond):
             z = solve_nash(g).equilibrium
-            if g.symmetric:
-                (dx,) = rhs(g, z)
-                assert np.abs(dx).max() < 1e-9
-            else:
-                du, dv = rhs(g, z)
-                assert np.abs(du).max() < 1e-9
-                assert np.abs(dv).max() < 1e-9
+            dz = _field(_operator(g), _stack([z]))[0]
+            assert np.abs(dz).max() < 1e-9
 
 
 class TestEssentialSubgame:
     def test_canonical(self, mp, rps, diamond):
-        assert essential_subgame(mp) == ((0, 1), (0, 1))
-        assert essential_subgame(rps) == ((0, 1, 2),)
-        assert essential_subgame(diamond) == ((1, 2), (1, 2))
+        assert solve_nash(mp).essential.subgame == ((0, 1), (0, 1))
+        assert solve_nash(rps).essential.subgame == ((0, 1, 2),)
+        assert solve_nash(diamond).essential.subgame == ((1, 2), (1, 2))
 
     def test_dominant(self):
         g = make_game([[3, 1], [0, 0]], "non-symmetric")
-        assert essential_subgame(g) == ((0,), (1,))
+        assert solve_nash(g).essential.subgame == ((0,), (1,))
 
     def test_contains_selected_support(self):
         rng = np.random.default_rng(31)
         for g in game_corpus(rng, 40):
             cert = solve_nash(g)
-            ess = essential_subgame(g)
+            ess = cert.essential.subgame
             if g.symmetric:
                 assert set(cert.support[0]) <= set(ess[0])
             else:
@@ -195,7 +188,7 @@ class TestEssentialSubgame:
 class TestGraphCertification:
     def test_canonical_reports(self, mp, rps, diamond):
         for g in (mp, rps, diamond):
-            rep = verify_preference_nash(g)
+            rep = solve_nash(g).essential
             assert rep.passed
             assert rep.in_sink and rep.strongly_connected
 
@@ -208,7 +201,7 @@ class TestGraphCertification:
     def test_fuzz(self):
         rng = np.random.default_rng(47)
         for g in game_corpus(rng, 60):
-            assert verify_preference_nash(g).passed
+            assert solve_nash(g).essential.passed
 
     def test_certificate_carries_the_essential_report(self):
         # One enumeration gives both verdicts; each is checked here against
@@ -218,14 +211,14 @@ class TestGraphCertification:
             sink = sink_component(pg)
             cert = solve_nash(g, pg)
             ess = cert.essential
-            assert ess == verify_preference_nash(g) and ess.subgame == essential_subgame(g)
+            assert ess == solve_nash(g).essential
             for sets, in_sink, connected in (
                 (cert.support, cert.in_sink, cert.support_strongly_connected),
                 (ess.subgame, ess.in_sink, ess.strongly_connected),
             ):
                 prods = set(sets[0]) if g.symmetric else {(i, j) for i in sets[0] for j in sets[1]}
                 assert in_sink == (prods <= sink)
-                assert connected == is_strongly_connected(pg, prods)
+                assert connected == _connectivity(pg, node_mask(pg, prods))[0]
             ties = sum(
                 a.weight == 0 and a.src in prods and a.dst in prods for a in pg.arcs
             )

@@ -1,5 +1,7 @@
-"""Game parsing, comparability, payoff differences and mixed profiles."""
+"""Game parsing, the per-pair comparability and weight definitions, and mixed
+profiles."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -9,26 +11,29 @@ from hypothesis import given, strategies as st
 from zsflow import (
     Game,
     GameFormatError,
-    IncomparableProfilesError,
+    IntegratorConfig,
     build_graph,
-    comparable,
     content_of,
-    expected_payoff,
     game_to_json,
+    integrate,
     make_game,
     mixed,
     parse_game,
-    product_mass,
-    profile_masses,
-    pure_profile,
     random_game,
     sink_component,
     solve_nash,
     uniform_profile,
-    weight,
 )
+from zsflow.dynamics import _profile_masses, _stack
 
+from graph_oracle import IncomparableProfilesError, comparable, weight
 from symmetrise_oracle import identity_corpus
+
+
+def sample(g, z, H=None):
+    """The first sample of a zero-horizon trajectory from z: its payoff
+    x M y and, when H is given, its mass on H."""
+    return integrate(g, z, IntegratorConfig(horizon=0.0), H=H)
 
 
 def nonsym_games(max_side=4):
@@ -263,24 +268,24 @@ class TestWeight:
 
 class TestMixedProfiles:
     def test_pure_profile_payoff(self, mp):
-        assert expected_payoff(mp, pure_profile(mp, (0, 0))) == pytest.approx(1.0)
+        assert sample(mp, mixed([1.0, 0.0], [1.0, 0.0])).payoff[0] == pytest.approx(1.0)
 
     def test_center_payoff_zero(self, mp):
-        assert expected_payoff(mp, uniform_profile(mp)) == pytest.approx(0.0, abs=1e-12)
+        assert sample(mp, uniform_profile(mp)).payoff[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_symmetric_payoff_vanishes(self, rps):
         # x M x = 0 for anti-symmetric M, at any x.
         z = mixed([0.2, 0.5, 0.3])
-        assert expected_payoff(rps, z) == pytest.approx(0.0, abs=1e-12)
+        assert sample(rps, z).payoff[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_product_mass(self, mp):
         z = mixed([0.5, 0.5], [1.0, 0.0])
-        assert product_mass(z, (0, 0)) == pytest.approx(0.5)
-        assert product_mass(z, (0, 1)) == 0.0
+        assert sample(mp, z, {(0, 0)}).mass[0] == pytest.approx(0.5)
+        assert sample(mp, z, {(0, 1)}).mass[0] == 0.0
 
     def test_profile_masses_row_major(self, mp):
         z = mixed([0.9, 0.1], [0.2, 0.8])
-        v = profile_masses(z)
+        v = _profile_masses(mp, _stack([z]))[0]
         expected = [0.9 * 0.2, 0.9 * 0.8, 0.1 * 0.2, 0.1 * 0.8]
         assert np.allclose(v, expected)
         assert v.sum() == pytest.approx(1.0, abs=1e-12)
@@ -288,7 +293,7 @@ class TestMixedProfiles:
     def test_support_and_product_support(self):
         z = mixed([0.5, 0.5, 0.0], [0.0, 1.0])
         assert z.support() == ((0, 1), (1,))
-        assert z.profile_support() == {(0, 1), (1, 1)}
+        assert set(itertools.product(*z.support())) == {(0, 1), (1, 1)}
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
@@ -300,6 +305,6 @@ class TestMixedProfiles:
 
     def test_shape_mismatch_rejected(self, mp, rps):
         with pytest.raises(ValueError):
-            expected_payoff(mp, mixed([1.0, 0.0]))
+            sample(mp, mixed([1.0, 0.0]))
         with pytest.raises(ValueError):
-            expected_payoff(rps, mixed([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+            sample(rps, mixed([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))

@@ -14,7 +14,6 @@ from zsflow import (
     check_embedding,
     integrate_batch,
     lyapunov_rates,
-    mass_on,
     random_game,
     random_mixed_profile,
     sink_component,
@@ -28,6 +27,12 @@ from zsflow.verify import (
     verify_nash,
     verify_symmetrisation,
 )
+
+
+def sink_mass(z, H) -> float:
+    """Product mass z places on the profiles in H."""
+    x, y = z.vectors[0], z.vectors[-1]
+    return float(sum(x[p] if z.symmetric else x[p[0]] * y[p[1]] for p in H))
 
 
 def per_point_lyapunov(count: int, seed: int, points_per_game: int = 50):
@@ -45,7 +50,7 @@ def per_point_lyapunov(count: int, seed: int, points_per_game: int = 50):
         while len(points) < points_per_game and tries < 400:
             tries += 1
             z = random_mixed_profile(rng, g)
-            if 0.05 < mass_on(z, sink) < 0.95:
+            if 0.05 < sink_mass(z, sink) < 0.95:
                 points.append(z)
         if not points:
             continue
