@@ -51,7 +51,6 @@ from .prefgraph import (
 )
 from .sampling import game_corpus, random_game, random_mixed_profile
 from .symmetrise import (
-    SymmetrisedGame,
     WeightIdentityReport,
     check_weight_identity,
     symmetrise,

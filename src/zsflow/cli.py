@@ -205,10 +205,15 @@ def _simulate(args) -> int:
     g = load_game(args.game)
     cfg = IntegratorConfig(step=args.step, horizon=args.horizon)
     z0 = _parse_start(args.start, g, args.seed)
-    sink = sink_component(build_graph(g))
-    tr = integrate(g, z0, cfg, H=sink)
     stem = os.path.splitext(os.path.basename(args.game))[0]
     csv_path = args.csv or os.path.join(args.out_dir, f"{stem}_trajectory.csv")
+    # Fail before the integration, and before any file is written.
+    for path in filter(None, (csv_path, args.svg)):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise NotADirectoryError(f"cannot write {path}: {parent} is not an existing directory")
+    sink = sink_component(build_graph(g))
+    tr = integrate(g, z0, cfg, H=sink)
     write_trajectory_csv(tr, g, csv_path)
     outputs = [csv_path]
     if args.svg:
@@ -302,17 +307,17 @@ def _symmetrise(args) -> int:
     stem = os.path.splitext(os.path.basename(args.game))[0]
     path = args.out or os.path.join(args.out_dir, f"{stem}_symmetrised.json")
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(game_to_json(sg.as_game()))
+        fh.write(game_to_json(sg))
     manifest = {
         "command": "symmetrise",
         "input": args.game,
         "seed": args.seed,
         "outputs": [path],
-        "result": {"profiles": len(sg.profile_order)},
+        "result": {"profiles": sg.n},
         "passed": True,
     }
     lines = [
-        f"symmetrised {g.n}x{g.m} game into {len(sg.profile_order)} profile strategies",
+        f"symmetrised {g.n}x{g.m} game into {sg.n} profile strategies",
         f"wrote: {path}",
     ]
     _emit(manifest, args.format, lines)

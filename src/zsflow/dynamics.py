@@ -69,8 +69,8 @@ class Trajectory:
     """Sampled solution of the replicator flow.
 
     states holds one (samples, strategies) array per player; row k is the
-    state at times[k].  mass and dist are present when a node set H was
-    supplied to the integrator.
+    state at times[k].  mass and dist, the masses on and off a node set H,
+    are present when H was supplied to the integrator.
     """
 
     times: np.ndarray
@@ -209,7 +209,7 @@ def integrate_batch(
     mass = dist = None
     if inside is not None:
         mass = _mass_series(g, full, inside)
-        dist = 1.0 - mass
+        dist = _mass_series(g, full, ~inside)
 
     return [
         Trajectory(

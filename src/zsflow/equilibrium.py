@@ -11,16 +11,18 @@ selected equilibrium, the essential subgame, and the sink-membership and
 strong-connectivity verdicts of both against the preference graph.
 
 The enumeration is batched per support size: the systems of a chunk of
-support pairs are stacked and solved by one LAPACK call, and the chunk size
-is capped so that working memory stays bounded however many pairs there are.
-About 10 strategies per side take seconds; the pair count, C(2n, n), sets
-the limit beyond that.
+support pairs are stacked and solved by one LAPACK call, one vectorised
+test accepts the chunk's candidates, and the chunk size is capped so that
+working memory stays bounded however many pairs there are.  The equilibria
+stay stacked arrays; selection, the essential subgame and the verdicts read
+their support masks.  About 10 strategies per side take seconds; the pair
+count, C(2n, n), sets the limit beyond that.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -71,10 +73,6 @@ class PreferenceNashReport:
         return self.in_sink and self.strongly_connected
 
 
-def _support(v: np.ndarray) -> tuple[int, ...]:
-    return tuple(int(i) for i in np.nonzero(v > SUPPORT_ATOL)[0])
-
-
 def _tolerance(M: np.ndarray) -> float:
     """Best-response slack for M: EQ_TOL relative to the largest payoff."""
     return EQ_TOL * max(1.0, float(np.max(np.abs(M))))
@@ -110,26 +108,13 @@ def _solve_bordered(blocks: np.ndarray) -> np.ndarray:
     return sol
 
 
-def _is_equilibrium(M: np.ndarray, x: np.ndarray, y: np.ndarray, v: float, tol: float) -> bool:
-    row_payoffs = M @ y
-    col_payoffs = M.T @ x
-    if np.any(row_payoffs > v + tol) or np.any(col_payoffs < v - tol):
-        return False
-    sx = x > SUPPORT_ATOL
-    sy = y > SUPPORT_ATOL
-    if np.any(np.abs(row_payoffs[sx] - v) > tol):
-        return False
-    if np.any(np.abs(col_payoffs[sy] - v) > tol):
-        return False
-    return abs(float(x @ M @ y) - v) <= tol
-
-
-def _enumerate_equilibria(g: Game) -> tuple:
+def _enumerate_equilibria(g: Game) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All equilibria found over equal-cardinality supports, in enumeration order.
 
-    Entries are (x tuple, y tuple, value); singular candidate systems are
-    skipped.  Support pairs run S1 outer, S2 inner, both lexicographic, and
-    are solved in chunks of at most CHUNK_ENTRIES matrix entries per system.
+    Returns the stacked row strategies, column strategies and values;
+    singular candidate systems are skipped.  Support pairs run S1 outer, S2
+    inner, both lexicographic, and are solved in chunks of at most
+    CHUNK_ENTRIES matrix entries per system.
     """
     M = g.float_view
     tol = _tolerance(M)
@@ -165,83 +150,70 @@ def _enumerate_equilibria(g: Game) -> tuple:
             X[at, S1[idx]] = np.clip(solx[idx, :k], 0.0, None)
             Y[at, S2[idx]] = np.clip(soly[idx, :k], 0.0, None)
             v = solx[idx, k]
-            # Best replies with twice the slack: these products differ from
-            # _is_equilibrium's by rounding far below tol, so a pair that
-            # fails here fails there too.
-            near = ((Y @ M.T).max(axis=1) <= v + 2 * tol) & ((X @ M).min(axis=1) >= v - 2 * tol)
-            for j in np.flatnonzero(near):
-                x, y, value = X[j].copy(), Y[j].copy(), float(v[j])
-                if _is_equilibrium(M, x, y, value, tol):
-                    found.append((tuple(x), tuple(y), value))
-    if not found:
+            w = v[:, None]
+            # Within tol: no pure deviation gains, every strategy in a support
+            # earns the value, and so does the profile itself.
+            R = Y @ M.T
+            C = X @ M
+            ok = (
+                (R <= w + tol).all(axis=1)
+                & (C >= w - tol).all(axis=1)
+                & ((X <= SUPPORT_ATOL) | (np.abs(R - w) <= tol)).all(axis=1)
+                & ((Y <= SUPPORT_ATOL) | (np.abs(C - w) <= tol)).all(axis=1)
+                & (np.abs((X * R).sum(axis=1) - v) <= tol)
+            )
+            found.append((X[ok], Y[ok], v[ok]))
+    X, Y, v = (np.concatenate(parts) for parts in zip(*found))
+    if not len(v):
         raise NoEquilibriumError(
             "support enumeration found no equilibrium; this contradicts the "
             "minimax theorem and indicates a numerical failure"
         )
-    return tuple(found)
+    return X, Y, v
 
 
-def _select(eqs: tuple) -> tuple:
-    # Largest support first, then lexicographically smallest support pair.
-    def rank(e):
-        sx = _support(np.array(e[0]))
-        sy = _support(np.array(e[1]))
-        return (-(len(sx) + len(sy)), sx, sy)
-
-    return min(eqs, key=rank)
+def _indices(mask: np.ndarray) -> tuple[int, ...]:
+    return tuple(np.flatnonzero(mask).tolist())
 
 
-def _union(g: Game, eqs: tuple) -> tuple[tuple[int, ...], ...]:
-    """Per-player unions of the supports of eqs (one set for symmetric games)."""
-    rows: set[int] = set()
-    cols: set[int] = set()
-    for x, y, _ in eqs:
-        rows.update(_support(np.array(x)))
-        cols.update(_support(np.array(y)))
-    if g.symmetric:
-        return (tuple(sorted(rows | cols)),)
-    return (tuple(sorted(rows)), tuple(sorted(cols)))
-
-
-def _profiles(g: Game, sets: tuple[tuple[int, ...], ...]) -> frozenset:
-    """The pure profiles of the product of per-player index sets."""
-    return frozenset(sets[0]) if g.symmetric else frozenset(product(*sets))
+def _nodes(masks: tuple[np.ndarray, ...]) -> np.ndarray:
+    """Graph node mask of the product of per-player strategy masks."""
+    return masks[0] if len(masks) == 1 else np.outer(*masks).ravel()
 
 
 def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
     """Equilibrium with deterministic tie-breaking, certified against the graph
     together with the essential subgame, all from one enumeration.
 
-    pg is the preference graph of g if the caller has built it already.
+    The selected equilibrium has the largest support, then the
+    lexicographically smallest support pair, then comes first in enumeration
+    order.  pg is the preference graph of g if the caller has built it already.
     """
-    eqs = _enumerate_equilibria(g)
-    x, y, v = _select(eqs)
-    x = np.array(x)
-    y = np.array(y)
+    X, Y, v = _enumerate_equilibria(g)
+    SX, SY = X > SUPPORT_ATOL, Y > SUPPORT_ATOL
+    size = SX.sum(axis=1) + SY.sum(axis=1)
+    j = min(np.flatnonzero(size == size.max()), key=lambda k: (_indices(SX[k]), _indices(SY[k])))
     if g.symmetric:
         # Any optimal strategy of one player is optimal for both, so x against
         # itself is an equilibrium of the symmetric game.
-        z = MixedProfile((x,))
-        support = (_support(x),)
-        value = float(x @ g.float_view @ x)
+        z, value = MixedProfile((X[j],)), float(X[j] @ g.float_view @ X[j])
+        sets, ess_sets = (SX[j],), (SX.any(axis=0) | SY.any(axis=0),)
     else:
-        z = MixedProfile((x, y))
-        support = (_support(x), _support(y))
-        value = v
+        z, value = MixedProfile((X[j], Y[j])), float(v[j])
+        sets, ess_sets = (SX[j], SY[j]), (SX.any(axis=0), SY.any(axis=0))
+    chosen, essential = _nodes(sets), _nodes(ess_sets)
     pg = build_graph(g) if pg is None else pg
-    sink = sink_component(pg)
-    ess = _union(g, eqs)
-    chosen, essential = _profiles(g, support), _profiles(g, ess)
-    connected, ties = _connectivity(pg, node_mask(pg, essential))
+    sink = node_mask(pg, sink_component(pg))
+    connected, ties = _connectivity(pg, essential)
     return NashCertificate(
         equilibrium=z,
         game_value=value,
-        support=support,
-        in_sink=chosen <= sink,
-        support_strongly_connected=_connectivity(pg, node_mask(pg, chosen))[0],
+        support=tuple(map(_indices, sets)),
+        in_sink=bool(np.all(chosen <= sink)),
+        support_strongly_connected=_connectivity(pg, chosen)[0],
         essential=PreferenceNashReport(
-            subgame=ess,
-            in_sink=essential <= sink,
+            subgame=tuple(map(_indices, ess_sets)),
+            in_sink=bool(np.all(essential <= sink)),
             strongly_connected=connected,
             zero_weight_arc_pairs=ties,
         ),

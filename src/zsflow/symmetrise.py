@@ -21,30 +21,6 @@ from .game import Game, GameFormatError
 from .prefgraph import build_graph
 
 
-@dataclass(frozen=True, eq=False)
-class SymmetrisedGame:
-    """The symmetrised matrix of base, held as ints: S times base.int_scale,
-    one (nm, nm) array in profile order, int64 when the base game's integer
-    view is (else Python ints).  Symmetrised games are equal when their bases
-    and matrices are.
-    """
-
-    base: Game
-    ints: np.ndarray
-    profile_order: tuple[tuple[int, int], ...]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, SymmetrisedGame):
-            return NotImplemented
-        mine = (self.base, self.profile_order, self.ints.tolist())
-        return mine == (other.base, other.profile_order, other.ints.tolist())
-
-    def as_game(self) -> Game:
-        """The symmetrised matrix as a symmetric-mode Game (labels 'r,c')."""
-        labels = tuple(self.base.profile_name(p) for p in self.profile_order)
-        return Game(self.ints, self.base.int_scale, True, labels, labels)
-
-
 def _check_nonsymmetric(g: Game) -> None:
     if g.symmetric:
         raise GameFormatError("game is already symmetric; symmetrisation expects non-symmetric input")
@@ -56,12 +32,11 @@ def _pair_differences(M: np.ndarray) -> np.ndarray:
     return (M[:, None, None, :] - M.T[None, :, :, None]).reshape(n * m, n * m)
 
 
-def symmetrise(g: Game) -> SymmetrisedGame:
+def symmetrise(g: Game) -> Game:
+    """The symmetrised game in symmetric mode, strategies labelled 'r,c'."""
     _check_nonsymmetric(g)
-    order = tuple((i, j) for i in range(g.n) for j in range(g.m))
-    ints = _pair_differences(g.int_view)
-    ints.setflags(write=False)
-    return SymmetrisedGame(g, ints, order)
+    labels = tuple(g.profile_name(p) for p in g.profiles())
+    return Game(_pair_differences(g.int_view), g.int_scale, True, labels, labels)
 
 
 def sym_float_matrix(g: Game) -> np.ndarray:
@@ -91,9 +66,12 @@ def check_weight_identity(g: Game) -> WeightIdentityReport:
     graph layer.  Violations are (p, q, S[p][q], via p, via q) with Fraction
     values, in row-major order of (p, q).
     """
-    sg = symmetrise(g)
+    _check_nonsymmetric(g)
+    # Over the base game's scale: the symmetrised Game may reduce its own.
+    S = _pair_differences(g.int_view)
     pg = build_graph(g)
-    N, m = len(sg.profile_order), g.m
+    order, m = g.profiles(), g.m
+    N = len(order)
     # A weight is a difference of two entries and each side of the identity a
     # sum of two weights, so int64 holds them exactly while every entry is
     # below 2**61 in magnitude; past that, Python ints.
@@ -109,11 +87,11 @@ def check_weight_identity(g: Game) -> WeightIdentityReport:
     rows, cols = np.arange(N)[:, None], np.arange(N)
     via_p = W[rows, mid1] + W[rows, mid2]
     via_q = W[mid1, cols] + W[mid2, cols]
-    bad = (sg.ints != via_p) | (sg.ints != via_q)
-    order, scale = sg.profile_order, g.int_scale
+    bad = (S != via_p) | (S != via_q)
+    scale = g.int_scale
     violations = tuple(
         (order[a], order[b])
-        + tuple(Fraction(int(v[a, b]), scale) for v in (sg.ints, via_p, via_q))
+        + tuple(Fraction(int(v[a, b]), scale) for v in (S, via_p, via_q))
         for a, b in zip(*(k.tolist() for k in np.nonzero(bad)))
     )
     return WeightIdentityReport(N * N, violations)

@@ -2,9 +2,10 @@
 
 For every pair of equal-cardinality supports (S1 outer, S2 inner, both in
 lexicographic order) it builds and solves the two bordered indifference
-systems one at a time, exactly as the library did before it stacked them.
-It shares the library's tolerance and best-response test, so any difference
-from ``zsflow.equilibrium._enumerate_equilibria`` is a batching error.
+systems one at a time and accepts a candidate with its own scalar
+best-response test, one candidate at a time.  It shares only the library's
+tolerance, so a difference from ``zsflow.equilibrium._enumerate_equilibria``
+is an error of the stacked solve or of the vectorised acceptance test.
 """
 
 from __future__ import annotations
@@ -14,8 +15,23 @@ from itertools import combinations
 import numpy as np
 
 from zsflow import Game
-from zsflow.equilibrium import _is_equilibrium, _tolerance
+from zsflow.equilibrium import _tolerance
 from zsflow.game import SUPPORT_ATOL
+
+
+def is_equilibrium(M: np.ndarray, x: np.ndarray, y: np.ndarray, v: float, tol: float) -> bool:
+    """Best replies within tol, every supported strategy earning v, and x M y = v."""
+    row_payoffs = M @ y
+    col_payoffs = M.T @ x
+    if np.any(row_payoffs > v + tol) or np.any(col_payoffs < v - tol):
+        return False
+    sx = x > SUPPORT_ATOL
+    sy = y > SUPPORT_ATOL
+    if np.any(np.abs(row_payoffs[sx] - v) > tol):
+        return False
+    if np.any(np.abs(col_payoffs[sy] - v) > tol):
+        return False
+    return abs(float(x @ M @ y) - v) <= tol
 
 
 def solve_candidate(M: np.ndarray, S1, S2, tol: float) -> tuple | None:
@@ -73,6 +89,6 @@ def enumerate_equilibria(g: Game) -> tuple:
                 if sol is None:
                     continue
                 x, y, v = sol
-                if _is_equilibrium(M, x, y, v, tol):
+                if is_equilibrium(M, x, y, v, tol):
                     found.append((tuple(x), tuple(y), v))
     return tuple(found)

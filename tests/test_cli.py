@@ -132,7 +132,8 @@ class TestAnalyze:
     )
     def test_graph_passes(self, capsys, games_dir, monkeypatch, stem):
         # One chain pass for the condensation, which also counts the ties,
-        # and one masked pass each for the chosen and the essential support.
+        # one masked pass each for the chosen and the essential support, and
+        # one node mask, the sink's; the supports' masks come from the arrays.
         calls = {"_chains": 0, "node_mask": 0}
         for name in calls:
             real = getattr(zsflow.prefgraph, name)
@@ -146,7 +147,7 @@ class TestAnalyze:
                     monkeypatch.setattr(module, name, counted)
         game = GOLDEN / "tie_heavy.json" if stem == "tie_heavy" else games_dir / f"{stem}.json"
         code, _, _ = run_cli(capsys, "analyze", str(game), "--format", "json")
-        assert code == 0 and calls == {"_chains": 3, "node_mask": 2}
+        assert code == 0 and calls == {"_chains": 3, "node_mask": 1}
 
     @pytest.mark.parametrize(
         "stem", ["diamond", "matching_pennies", "rock_paper_scissors", "tie_heavy"]
@@ -326,6 +327,24 @@ class TestSimulate:
         )
         assert code == 2
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize("parent", ["plain.txt", "missing"])
+    def test_bad_svg_path_fails_before_integrating(
+        self, capsys, games_dir, tmp_path, monkeypatch, parent
+    ):
+        # The SVG path is checked with the CSV path, before the integration
+        # runs and before the CSV is written.
+        (tmp_path / "plain.txt").write_text("")
+        calls = []
+        monkeypatch.setattr(zsflow.cli, "integrate", lambda *a, **k: calls.append(a))
+        csv = tmp_path / "a.csv"
+        code, out, err = run_cli(
+            capsys, "simulate", str(games_dir / "diamond.json"), "--horizon", "1",
+            "--csv", str(csv), "--svg", str(tmp_path / parent / "x.svg"),
+        )
+        assert code == 2 and out == "" and not calls
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert not csv.exists()
 
     def test_non_finite_horizon(self, capsys, games_dir, tmp_path):
         game = str(games_dir / "matching_pennies.json")

@@ -206,6 +206,14 @@ class TestIntegration:
         tr2 = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=1.0))
         assert tr2.mass is None and tr2.dist is None
 
+    def test_distance_is_never_negative(self, diamond):
+        # The README quickstart run: it converges, so 1 - mass would round
+        # below 0, while the mass off the sink is a sum of non-negative terms.
+        H = sink_component(build_graph(diamond))
+        tr = integrate(diamond, uniform_profile(diamond), IntegratorConfig(horizon=200.0), H=H)
+        assert tr.dist.min() >= 0.0
+        assert np.abs(tr.mass + tr.dist - 1.0).max() < 1e-12
+
     def test_unstable_direct_run_raises(self, monkeypatch):
         monkeypatch.setattr(zsflow.dynamics, "_flow", direct_flow)
         g = make_game([[1000, -1000], [-1000, 1000]], "non-symmetric")

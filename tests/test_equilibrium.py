@@ -16,6 +16,7 @@ from zsflow import (
 )
 from zsflow.dynamics import _field, _operator, _stack
 from zsflow.equilibrium import CHUNK_ENTRIES, _enumerate_equilibria
+from zsflow.game import SUPPORT_ATOL
 from zsflow.prefgraph import _connectivity, node_mask
 from zsflow.sampling import game_corpus
 
@@ -104,19 +105,25 @@ def oracle_corpus(seed: int, count: int) -> list:
     return games
 
 
+def enumerated(g) -> tuple:
+    """The library's stacked equilibria in the oracle's (x, y, value) form."""
+    X, Y, v = _enumerate_equilibria(g)
+    return tuple((tuple(x), tuple(y), float(w)) for x, y, w in zip(X, Y, v))
+
+
 class TestBatchedEnumeration:
     """The stacked solve must reproduce the per-pair loop bit for bit."""
 
     def test_matches_per_pair_oracle(self):
         for g in oracle_corpus(61, 160):
-            assert _enumerate_equilibria(g) == oracle_equilibria(g), g.matrix
+            assert enumerated(g) == oracle_equilibria(g), g.matrix
 
     def test_fallback_when_batched_solve_raises(self, monkeypatch):
         # With every system reported non-singular the stacked solve meets a
         # singular one and raises; the chunk is then solved one system at a time.
         monkeypatch.setattr(np.linalg, "slogdet", lambda A: (np.ones(len(A)), None))
         for g in oracle_corpus(62, 24):
-            assert _enumerate_equilibria(g) == oracle_equilibria(g), g.matrix
+            assert enumerated(g) == oracle_equilibria(g), g.matrix
 
     def test_memory_bounded_by_chunk(self):
         # One chunk holds a few stacks of CHUNK_ENTRIES floats; solving all
@@ -130,6 +137,31 @@ class TestBatchedEnumeration:
         finally:
             tracemalloc.stop()
         assert peak < 8 * CHUNK_ENTRIES * 8
+
+
+class TestSelection:
+    def test_matches_the_documented_rule_on_the_oracle(self):
+        # Largest |S1| + |S2|, then the lexicographically smallest (S1, S2),
+        # the first found on ties; the essential subgame is the union.
+        def support(v):
+            return tuple(i for i, w in enumerate(v) if w > SUPPORT_ATOL)
+
+        for g in oracle_corpus(65, 120):
+            eqs = oracle_equilibria(g)
+            supports = [(support(x), support(y)) for x, y, _ in eqs]
+            best = min(range(len(eqs)), key=lambda k: (-sum(map(len, supports[k])), supports[k]))
+            x, y, _ = eqs[best]
+            rows = set().union(*(sx for sx, _ in supports))
+            cols = set().union(*(sy for _, sy in supports))
+            cert = solve_nash(g)
+            if g.symmetric:
+                want = ((supports[best][0],), [x], (tuple(sorted(rows | cols)),))
+            else:
+                want = (supports[best], [x, y], (tuple(sorted(rows)), tuple(sorted(cols))))
+            vectors = [np.array(v).tobytes() for v in want[1]]
+            assert cert.support == want[0], g.matrix
+            assert [v.tobytes() for v in cert.equilibrium.vectors] == vectors, g.matrix
+            assert cert.essential.subgame == want[2], g.matrix
 
 
 class TestMinimaxConsistency:

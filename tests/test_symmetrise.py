@@ -7,10 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import zsflow.verify
 from zsflow import (
     GameFormatError,
-    SymmetrisedGame,
     build_graph,
     check_weight_identity,
     make_game,
@@ -48,7 +46,7 @@ def small_nonsym(draw):
 
 
 def test_mp_values(mp):
-    S = symmetrise(mp).as_game().matrix
+    S = symmetrise(mp).matrix
     # incomparable diagonal pair (H,H) vs (T,T): M[H][T] - M[T][H] = -1 - (-1)
     assert S[0][3] == 0
     # comparable pair (H,H) vs (H,T) agrees with the weight function
@@ -57,8 +55,9 @@ def test_mp_values(mp):
 
 
 def test_row_major_indexing(mp):
+    # Strategy k is profile (k // m, k % m): (0, 0), (0, 1), (1, 0), (1, 1).
     sg = symmetrise(mp)
-    assert sg.profile_order == ((0, 0), (0, 1), (1, 0), (1, 1))
+    assert sg.row_labels == ("H,H", "H,T", "T,H", "T,T")
 
 
 def test_symmetric_input_rejected(rps):
@@ -69,7 +68,7 @@ def test_symmetric_input_rejected(rps):
 @given(small_nonsym())
 @settings(max_examples=40, deadline=None)
 def test_anti_symmetry(g):
-    S = symmetrise(g).as_game().matrix
+    S = symmetrise(g).matrix
     size = len(S)
     for a in range(size):
         for b in range(size):
@@ -79,9 +78,8 @@ def test_anti_symmetry(g):
 @given(small_nonsym())
 @settings(max_examples=25, deadline=None)
 def test_restriction_to_comparable_pairs(g):
-    sg = symmetrise(g)
-    S = sg.as_game().matrix
-    order = sg.profile_order
+    S = symmetrise(g).matrix
+    order = g.profiles()
     for a, p in enumerate(order):
         for b, q in enumerate(order):
             if comparable(g, p, q) in (1, 2):
@@ -111,8 +109,7 @@ def test_weight_identity_fuzz():
 
 
 def test_as_game_round_trip(mp):
-    sg = symmetrise(mp)
-    g2 = sg.as_game()
+    g2 = symmetrise(mp)
     assert g2.symmetric
     assert g2.row_labels == ("H,H", "H,T", "T,H", "T,T")
     again = parse_game(game_to_json(g2))
@@ -129,7 +126,7 @@ def test_as_game_round_trip(mp):
 def test_as_game_reduced_round_trip(entries, scale):
     # The symmetrised entries of the first base are all 0, which a scale of 2
     # would hold as well; the stored game must be the reduced one the file gives.
-    g2 = symmetrise(make_game(entries)).as_game()
+    g2 = symmetrise(make_game(entries))
     assert g2.int_scale == scale
     again = parse_game(game_to_json(g2))
     assert again == g2 and hash(again) == hash(g2)
@@ -142,7 +139,7 @@ class TestAgainstOracle:
     def test_seeded_corpus(self):
         games = identity_corpus(31, 200)
         for g in games:
-            assert symmetrise(g).as_game().matrix == oracle_symmetrise(g)
+            assert symmetrise(g).matrix == oracle_symmetrise(g)
             report = check_weight_identity(g)
             assert (report.pairs_checked, report.violations) == oracle_weight_identity(g)
             assert report.ok
@@ -156,9 +153,8 @@ class TestAgainstOracle:
         rng = np.random.default_rng(32)
         found = 0
         for g in identity_corpus(33, 70):
-            sg = symmetrise(g)
-            size = len(sg.profile_order)
-            ints = sg.ints.astype(object)
+            size = symmetrise(g).n
+            ints = symmetrise_module._pair_differences(g.int_view).astype(object)
             bad = oracle_symmetrise(g)
             bad = [list(row) for row in bad]
             for _ in range(int(rng.integers(1, 4))):
@@ -166,8 +162,7 @@ class TestAgainstOracle:
                 delta = [1, -1, 2**63, -(2**64)][int(rng.integers(4))]
                 ints[a, b] += delta
                 bad[a][b] += Fraction(delta, g.int_scale)
-            corrupted = SymmetrisedGame(g, ints, sg.profile_order)
-            monkeypatch.setattr(symmetrise_module, "symmetrise", lambda _g: corrupted)
+            monkeypatch.setattr(symmetrise_module, "_pair_differences", lambda _M: ints)
             report = check_weight_identity(g)
             monkeypatch.undo()
             expected = oracle_weight_identity(g, bad)
@@ -183,17 +178,15 @@ class TestAgainstOracle:
         ],
     )
     def test_verify_reports_corruption(self, monkeypatch, shift, message):
-        real = symmetrise_module.symmetrise
+        real = symmetrise_module._pair_differences
 
-        def shifted(g):
-            sg = real(g)
-            ints = sg.ints.copy()
+        def shifted(M):
+            ints = real(M)
             for (a, b), delta in shift.items():
                 ints[a, b] += delta
-            return SymmetrisedGame(g, ints, sg.profile_order)
+            return ints
 
-        monkeypatch.setattr(symmetrise_module, "symmetrise", shifted)
-        monkeypatch.setattr(zsflow.verify, "symmetrise", shifted)
+        monkeypatch.setattr(symmetrise_module, "_pair_differences", shifted)
         report = verify_symmetrisation(10, 5)
         assert report["failures"] == [message]
         game = report["counterexample"]["game"]
