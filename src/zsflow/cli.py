@@ -103,12 +103,11 @@ def _parse_start(spec: str, g: Game, seed: int) -> MixedProfile:
     if spec == "uniform":
         return uniform_profile(g)
     if spec == "random":
-        return random_mixed_profile(np.random.default_rng(seed), g, interior=True)
+        return random_mixed_profile(np.random.default_rng(seed), g)
     groups = spec.split(";")
-    expected = 1 if g.symmetric else 2
-    if len(groups) != expected:
+    if len(groups) != len(g.blocks):
         raise ValueError(
-            f"start must have {expected} weight group(s) for this game, got {len(groups)}"
+            f"start must have {len(g.blocks)} weight group(s) for this game, got {len(groups)}"
         )
     try:
         vectors = [np.array([float(v) for v in grp.split(",")]) for grp in groups]
@@ -117,8 +116,17 @@ def _parse_start(spec: str, g: Game, seed: int) -> MixedProfile:
     return mixed(*vectors)
 
 
+def _check_parents(*paths: str | None) -> None:
+    """Fail before any work or write unless each output path's parent is a directory."""
+    for path in filter(None, paths):
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise NotADirectoryError(f"cannot write {path}: {parent} is not an existing directory")
+
+
 def _analyze(args) -> int:
     g = load_game(args.game)
+    _check_parents(args.dot)
     pg = build_graph(g)
     part = scc(pg)
     sink = sink_component(pg)  # raises SinkUniquenessError on violation
@@ -170,14 +178,10 @@ def _analyze(args) -> int:
         "report": report,
         "passed": passed,
     }
-    subgames = report["content"]["maximal_subgames"]
-    if g.symmetric:
-        sub_text = "; ".join("{" + ",".join(sg["strategies"]) + "}" for sg in subgames)
-    else:
-        sub_text = "; ".join(
-            "{" + ",".join(sg["rows"]) + "}x{" + ",".join(sg["cols"]) + "}"
-            for sg in subgames
-        )
+    sub_text = "; ".join(
+        "x".join("{" + ",".join(labels) + "}" for labels in sg.values())
+        for sg in report["content"]["maximal_subgames"]
+    )
     lines = [
         f"game: {g.n}x{g.m} {g.mode} ({args.game})",
         f"preference graph: {len(pg.nodes)} nodes, {arcs} arcs, "
@@ -207,11 +211,7 @@ def _simulate(args) -> int:
     z0 = _parse_start(args.start, g, args.seed)
     stem = os.path.splitext(os.path.basename(args.game))[0]
     csv_path = args.csv or os.path.join(args.out_dir, f"{stem}_trajectory.csv")
-    # Fail before the integration, and before any file is written.
-    for path in filter(None, (csv_path, args.svg)):
-        parent = os.path.dirname(path) or "."
-        if not os.path.isdir(parent):
-            raise NotADirectoryError(f"cannot write {path}: {parent} is not an existing directory")
+    _check_parents(csv_path, args.svg)
     sink = sink_component(build_graph(g))
     tr = integrate(g, z0, cfg, H=sink)
     write_trajectory_csv(tr, g, csv_path)
@@ -251,7 +251,7 @@ def _simulate(args) -> int:
         f"game: {g.n}x{g.m} {g.mode} ({args.game})",
         f"integrated {len(tr) - 1} steps of {args.step:g} "
         f"(rk4-log), horizon {args.horizon:g}",
-        f"final x_H = {float(tr.mass[-1]):.9f}  (1 - x_H = {float(tr.dist[-1]):.3e})",
+        f"final x_H = {float(tr.mass[-1]):.9f}  (dist_content = {float(tr.dist[-1]):.3e})",
         f"final payoff = {float(tr.payoff[-1]):.9g}",
         f"wrote: {', '.join(outputs)}",
     ]
@@ -303,9 +303,10 @@ def _verify(args) -> int:
 
 def _symmetrise(args) -> int:
     g = load_game(args.game)
-    sg = symmetrise(g)
     stem = os.path.splitext(os.path.basename(args.game))[0]
     path = args.out or os.path.join(args.out_dir, f"{stem}_symmetrised.json")
+    _check_parents(path)
+    sg = symmetrise(g)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(game_to_json(sg))
     manifest = {

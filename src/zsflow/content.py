@@ -10,7 +10,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .game import Game, Profile
+import numpy as np
+
+from .game import Game, Profile, report_sets
 
 
 def maximal_subgames(H: Iterable[Profile], g: Game):
@@ -22,29 +24,24 @@ def maximal_subgames(H: Iterable[Profile], g: Game):
     closed one row at a time as bitmasks, so the cost grows with the output,
     not with 2^rows.
     """
-    Hset = frozenset(H)
-    for p in Hset:
-        if not g.contains_profile(p):
-            raise ValueError(f"{p!r} is not a profile of this game")
+    inside = g.node_mask(H)
     if g.symmetric:
-        return [tuple(sorted(Hset))]
-    neigh = [0] * g.n
-    for i, j in Hset:
-        neigh[i] |= 1 << j
+        return [tuple(np.flatnonzero(inside).tolist())]
+    # Row i's neighbourhood in H as a bitmask over the columns.
+    bits = np.packbits(inside.reshape(g.n, g.m), axis=1, bitorder="little")
+    neigh = [int.from_bytes(row.tobytes(), "little") for row in bits]
     closed: set[int] = set()
     for mask in neigh:
         if mask:
             closed |= {mask & c for c in closed} | {mask}
     closed.discard(0)
-    out = [
+    return sorted(
         (
             tuple(i for i in range(g.n) if neigh[i] & c == c),
             tuple(j for j in range(g.m) if c >> j & 1),
         )
         for c in closed
-    ]
-    out.sort()
-    return out
+    )
 
 
 @dataclass(frozen=True)
@@ -56,22 +53,15 @@ class Content:
 
 
 def content_of(H: Iterable[Profile], g: Game) -> Content:
-    Hset = frozenset(H)
-    return Content(Hset, tuple(maximal_subgames(Hset, g)))
+    H = tuple(H)  # validated as given: a set would merge True into 1
+    return Content(frozenset(H), tuple(maximal_subgames(H, g)))
 
 
 def content_to_dict(c: Content, g: Game) -> dict:
     """JSON-friendly report with strategy labels."""
-    if g.symmetric:
-        subgames = [{"strategies": [g.row_labels[s] for s in sg]} for sg in c.subgames]
-        profiles = sorted(g.row_labels[p] for p in c.profiles)
-    else:
-        subgames = [
-            {
-                "rows": [g.row_labels[i] for i in rows],
-                "cols": [g.col_labels[j] for j in cols],
-            }
-            for rows, cols in c.subgames
-        ]
-        profiles = sorted(g.profile_name(p) for p in sorted(c.profiles))
-    return {"profiles": profiles, "maximal_subgames": subgames}
+    # A symmetric game's maximal subgame is one strategy set, its only block.
+    subgames = [(sg,) for sg in c.subgames] if g.symmetric else c.subgames
+    return {
+        "profiles": sorted(g.profile_name(p) for p in c.profiles),
+        "maximal_subgames": [report_sets(g, sg) for sg in subgames],
+    }

@@ -27,7 +27,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .game import Game, MixedProfile, Profile, _check_shape
-from .prefgraph import build_graph, node_mask, sink_component
+from .prefgraph import build_graph, sink_component
 from .symmetrise import sym_float_matrix
 
 
@@ -193,13 +193,7 @@ def integrate_batch(
         raise ValueError("integrate_batch requires at least one start")
     for z in starts:
         _check_shape(g, z)
-    inside = None
-    if H is not None:
-        Hset = frozenset(H)
-        for p in Hset:
-            if not g.contains_profile(p):
-                raise ValueError(f"{p!r} is not a profile of this game")
-        inside = np.array([p in Hset for p in g.profiles()])
+    inside = None if H is None else g.node_mask(H)
 
     op = _operator(g)
     full = _flow(op, _stack(starts), cfg)  # (samples, B, n+m)
@@ -232,11 +226,11 @@ def lyapunov_rates(g: Game, H: Iterable[Profile], zs: Sequence[MixedProfile]) ->
     """
     for z in zs:
         _check_shape(g, z)
-    pg = build_graph(g)
-    Hset = frozenset(H)
-    if Hset != sink_component(pg):
+    H = tuple(H)  # validated as given: a set would merge True into 1
+    inside = g.node_mask(H)
+    if frozenset(H) != sink_component(build_graph(g)):
         raise ValueError("lyapunov_rates requires the certified sink component of the game")
-    return _sink_rates(g, node_mask(pg, Hset), _stack(zs)) if len(zs) else np.zeros(0)
+    return _sink_rates(g, inside, _stack(zs)) if len(zs) else np.zeros(0)
 
 
 def _sink_rates(g: Game, inside: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -305,10 +299,8 @@ def mass_monotone(mass: np.ndarray, slack: float = 1e-8, saturation: float = 1e-
 
 def write_trajectory_csv(tr: Trajectory, g: Game, path: str) -> None:
     """CSV with header t, <coordinate labels...>, x_H, payoff, dist_content."""
-    if g.symmetric:
-        labels = list(g.row_labels)
-    else:
-        labels = [f"p1:{s}" for s in g.row_labels] + [f"p2:{t}" for t in g.col_labels]
+    prefixes = ("",) if g.symmetric else ("p1:", "p2:")
+    labels = [pre + s for pre, block in zip(prefixes, g.blocks) for s in block]
     header = ["t"] + labels + ["x_H", "payoff", "dist_content"]
     series = [tr.times, *tr.states, tr.mass, tr.payoff, tr.dist]
     # One template per row, each value as %.17g; a missing series is a blank cell.

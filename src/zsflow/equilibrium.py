@@ -22,12 +22,13 @@ count, C(2n, n), sets the limit beyond that.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from itertools import combinations
 
 import numpy as np
 
-from .game import Game, MixedProfile, SUPPORT_ATOL
-from .prefgraph import PreferenceGraph, _connectivity, build_graph, node_mask, sink_component
+from .game import Game, MixedProfile, SUPPORT_ATOL, report_sets
+from .prefgraph import PreferenceGraph, _connectivity, build_graph, sink_component
 
 # Best-response slack accepted when validating a candidate equilibrium, per
 # unit of the largest payoff magnitude (at least 1).
@@ -176,11 +177,6 @@ def _indices(mask: np.ndarray) -> tuple[int, ...]:
     return tuple(np.flatnonzero(mask).tolist())
 
 
-def _nodes(masks: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Graph node mask of the product of per-player strategy masks."""
-    return masks[0] if len(masks) == 1 else np.outer(*masks).ravel()
-
-
 def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
     """Equilibrium with deterministic tie-breaking, certified against the graph
     together with the essential subgame, all from one enumeration.
@@ -201,9 +197,10 @@ def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
     else:
         z, value = MixedProfile((X[j], Y[j])), float(v[j])
         sets, ess_sets = (SX[j], SY[j]), (SX.any(axis=0), SY.any(axis=0))
-    chosen, essential = _nodes(sets), _nodes(ess_sets)
+    # Node masks of the products of the per-block strategy masks, row-major.
+    chosen, essential = (reduce(np.logical_and.outer, s).ravel() for s in (sets, ess_sets))
     pg = build_graph(g) if pg is None else pg
-    sink = node_mask(pg, sink_component(pg))
+    sink = g.node_mask(sink_component(pg))
     connected, ties = _connectivity(pg, essential)
     return NashCertificate(
         equilibrium=z,
@@ -223,17 +220,10 @@ def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
 def certificate_to_dict(cert: NashCertificate, g: Game) -> dict:
     """JSON-friendly certificate with strategy labels."""
     vecs = [[float(v) for v in vec] for vec in cert.equilibrium.vectors]
-    if g.symmetric:
-        support = {"strategies": [g.row_labels[s] for s in cert.support[0]]}
-    else:
-        support = {
-            "rows": [g.row_labels[i] for i in cert.support[0]],
-            "cols": [g.col_labels[j] for j in cert.support[1]],
-        }
     return {
         "equilibrium": vecs,
         "game_value": cert.game_value,
-        "support": support,
+        "support": report_sets(g, cert.support),
         "in_sink": cert.in_sink,
         "support_strongly_connected": cert.support_strongly_connected,
     }

@@ -8,7 +8,10 @@ so that every sign decision downstream (arc directions, ties) is an integer
 comparison.  Fractions appear only at the file boundary.
 
 Profiles are strategy indices: a pair ``(i, j)`` in the non-symmetric case, a
-single ``int`` in the symmetric case.
+single ``int`` in the symmetric case.  Game owns the row-major profile order,
+the one validating profile-set-to-mask map (node_mask) and the player blocks.
+The modes differ only in the maths: the preference graph, the flow operator,
+the sink mass and its rate, and the value and essential set.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
@@ -165,16 +168,30 @@ class Game:
         i, j = p
         return f"{self.row_labels[i]},{self.col_labels[j]}"
 
-    def contains_profile(self, p: Profile) -> bool:
-        if self.symmetric:
-            return isinstance(p, int) and not isinstance(p, bool) and 0 <= p < self.n
-        return (
-            isinstance(p, tuple)
-            and len(p) == 2
-            and all(isinstance(c, int) for c in p)
-            and 0 <= p[0] < self.n
-            and 0 <= p[1] < self.m
-        )
+    @property
+    def blocks(self) -> tuple[tuple[str, ...], ...]:
+        """Strategy labels of each player block: one block if symmetric, else two."""
+        return (self.row_labels,) if self.symmetric else (self.row_labels, self.col_labels)
+
+    def node_mask(self, subset: Iterable[Profile]) -> np.ndarray:
+        """Boolean mask over profiles() of the profiles in subset, in one pass
+        over subset.  Raises ValueError for anything else: a profile is an int
+        (not a bool) in range if symmetric, else a pair of ints in range."""
+        n, m = self.n, self.m
+        index = []
+        for p in subset:
+            if self.symmetric:
+                k = p if isinstance(p, int) and not isinstance(p, bool) and 0 <= p < n else -1
+            else:
+                i, j = p if isinstance(p, tuple) and len(p) == 2 else (-1, -1)
+                ok = isinstance(i, int) and isinstance(j, int) and 0 <= i < n and 0 <= j < m
+                k = i * m + j if ok else -1
+            if k < 0:
+                raise ValueError(f"{p!r} is not a profile of this game")
+            index.append(k)
+        inside = np.zeros(n if self.symmetric else n * m, dtype=bool)
+        inside[index] = True
+        return inside
 
 
 def make_game(
@@ -295,10 +312,6 @@ class MixedProfile:
             cleaned.append(arr)
         object.__setattr__(self, "vectors", tuple(cleaned))
 
-    @property
-    def symmetric(self) -> bool:
-        return len(self.vectors) == 1
-
     def support(self, atol: float = 0.0) -> tuple[tuple[int, ...], ...]:
         """Per-player indices with mass above atol (strictly positive if 0)."""
         return tuple(tuple(int(i) for i in np.nonzero(v > atol)[0]) for v in self.vectors)
@@ -310,15 +323,16 @@ def mixed(*vectors) -> MixedProfile:
 
 
 def uniform_profile(g: Game) -> MixedProfile:
-    if g.symmetric:
-        return mixed(np.full(g.n, 1.0 / g.n))
-    return mixed(np.full(g.n, 1.0 / g.n), np.full(g.m, 1.0 / g.m))
+    return mixed(*(np.full(len(b), 1.0 / len(b)) for b in g.blocks))
+
+
+def report_sets(g: Game, sets: Sequence[Sequence[int]]) -> dict:
+    """Per-block strategy index sets as labelled report entries, keyed
+    'strategies' for a symmetric game and 'rows', 'cols' otherwise."""
+    keys = ("strategies",) if g.symmetric else ("rows", "cols")
+    return {key: [block[s] for s in idx] for key, block, idx in zip(keys, g.blocks, sets)}
 
 
 def _check_shape(g: Game, z: MixedProfile) -> None:
-    if g.symmetric:
-        if not z.symmetric or z.vectors[0].size != g.n:
-            raise ValueError("mixed profile does not match the symmetric game")
-    else:
-        if z.symmetric or z.vectors[0].size != g.n or z.vectors[1].size != g.m:
-            raise ValueError("mixed profile does not match the game dimensions")
+    if tuple(v.size for v in z.vectors) != tuple(map(len, g.blocks)):
+        raise ValueError(f"mixed profile does not match the {g.mode} game")

@@ -252,17 +252,6 @@ def sink_component(pg: PreferenceGraph) -> frozenset:
     return part.components[part.sinks[0]]
 
 
-def node_mask(pg: PreferenceGraph, subset: Iterable[Profile]) -> np.ndarray:
-    """Boolean mask over pg.nodes of the profiles in subset; raises for foreign ones."""
-    position = {v: k for k, v in enumerate(pg.nodes)}
-    inside = np.zeros(len(pg.nodes), dtype=bool)
-    for v in subset:
-        if v not in position:
-            raise ValueError(f"{v!r} is not a node of the graph")
-        inside[position[v]] = True
-    return inside
-
-
 def _connectivity(pg: PreferenceGraph, inside: np.ndarray) -> tuple[bool, int]:
     """Whether the masked nodes induce a strongly connected subgraph, and their tied pairs."""
     if not inside.any():

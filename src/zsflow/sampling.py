@@ -27,35 +27,19 @@ def random_game(
     return make_game(entries.tolist(), "non-symmetric")
 
 
-def _simplex_point(rng: np.random.Generator, size: int, interior: bool) -> np.ndarray:
-    if interior or size == 1:
-        return rng.dirichlet(np.ones(size))
-    k = int(rng.integers(1, size + 1))
-    support = rng.choice(size, size=k, replace=False)
-    x = np.zeros(size)
-    x[np.sort(support)] = rng.dirichlet(np.ones(k))
-    return x
-
-
-def random_mixed_profile(
-    rng: np.random.Generator, g: Game, interior: bool = True
-) -> MixedProfile:
-    """Dirichlet(1) point per player; interior=False draws a random support first."""
-    if g.symmetric:
-        return mixed(_simplex_point(rng, g.n, interior))
-    return mixed(
-        _simplex_point(rng, g.n, interior), _simplex_point(rng, g.m, interior)
-    )
-
-
 def random_interior_stack(rng: np.random.Generator, g: Game, count: int) -> np.ndarray:
-    """count interior points as a (count, n+m) stack (n for a symmetric game),
-    from the same draws as count calls of random_mixed_profile(rng, g)."""
-    ones = [np.ones(g.n)] if g.symmetric else [np.ones(g.n), np.ones(g.m)]
-    size = sum(v.size for v in ones)
+    """count interior points, one Dirichlet(1) draw per player block each, as
+    a (count, n+m) stack (n for a symmetric game)."""
+    ones = [np.ones(len(b)) for b in g.blocks]
     return np.array(
         [np.concatenate([rng.dirichlet(v) for v in ones]) for _ in range(count)]
-    ).reshape(count, size)
+    ).reshape(count, sum(v.size for v in ones))
+
+
+def random_mixed_profile(rng: np.random.Generator, g: Game) -> MixedProfile:
+    """One interior point: the one-point case of random_interior_stack."""
+    z = random_interior_stack(rng, g, 1)[0]
+    return mixed(*np.split(z, np.cumsum([len(b) for b in g.blocks])[:-1]))
 
 
 def game_corpus(

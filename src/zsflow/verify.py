@@ -21,7 +21,7 @@ from .dynamics import (
 )
 from .equilibrium import solve_nash
 from .game import Game, GameFormatError, game_to_dict
-from .prefgraph import SinkUniquenessError, build_graph, node_mask, sink_component
+from .prefgraph import SinkUniquenessError, build_graph, sink_component
 from .sampling import game_corpus, random_game, random_interior_stack
 from .symmetrise import check_weight_identity, symmetrise
 
@@ -164,7 +164,7 @@ def verify_lyapunov(count: int, seed: int, points_per_game: int = 50) -> dict:
         if len(sink) == len(pg.nodes):
             continue
         proper += 1
-        inside = node_mask(pg, sink)
+        inside = g.node_mask(sink)
         Z = _proper_sink_points(rng, g, inside, points_per_game)
         if not len(Z):
             continue

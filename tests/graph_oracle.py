@@ -31,9 +31,7 @@ def comparable(g: Game, a: Profile, b: Profile) -> Comparability:
     Returns 1 or 2 for the deviating player, "all" for any distinct pair of a
     symmetric game, and None for equal or incomparable profiles.
     """
-    for p in (a, b):
-        if not g.contains_profile(p):
-            raise ValueError(f"{p!r} is not a profile of this game")
+    g.node_mask([a, b])  # raises for a foreign profile
     if a == b:
         return None
     if g.symmetric:
@@ -163,9 +161,7 @@ def oracle_scc(nodes: tuple, arcs: Iterable[Arc]) -> SccPartition:
 def oracle_maximal_subgames(H: Iterable[Profile], g: Game):
     """Maximal product sets inside H by closing every one of the 2^rows row subsets."""
     Hset = frozenset(H)
-    for p in Hset:
-        if not g.contains_profile(p):
-            raise ValueError(f"{p!r} is not a profile of this game")
+    g.node_mask(Hset)  # raises for a foreign profile
     if g.symmetric:
         return [tuple(sorted(Hset))]
     if not Hset:

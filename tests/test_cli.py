@@ -13,7 +13,7 @@ import pytest
 import zsflow.cli
 import zsflow.equilibrium
 import zsflow.prefgraph
-from zsflow import NoEquilibriumError, build_graph, parse_game
+from zsflow import Game, NoEquilibriumError, build_graph, parse_game
 from zsflow.cli import main
 
 
@@ -127,27 +127,48 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, "analyze", str(games_dir / "diamond.json"))
         assert code == 0 and len(calls) == 1
 
+    @pytest.mark.parametrize("parent", ["plain.txt", "missing"])
+    def test_bad_dot_path_fails_before_any_work(
+        self, capsys, games_dir, tmp_path, monkeypatch, parent
+    ):
+        # The DOT path is checked before the graph, content and Nash layers run.
+        (tmp_path / "plain.txt").write_text("")
+
+        def fail(*args):
+            raise AssertionError("the work started before the DOT path was checked")
+
+        monkeypatch.setattr(zsflow.cli, "build_graph", fail)
+        monkeypatch.setattr(zsflow.cli, "solve_nash", fail)
+        code, out, err = run_cli(
+            capsys, "analyze", str(games_dir / "diamond.json"),
+            "--dot", str(tmp_path / parent / "x.dot"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["plain.txt"]
+
     @pytest.mark.parametrize(
         "stem", ["diamond", "matching_pennies", "rock_paper_scissors", "tie_heavy"]
     )
     def test_graph_passes(self, capsys, games_dir, monkeypatch, stem):
         # One chain pass for the condensation, which also counts the ties,
         # one masked pass each for the chosen and the essential support, and
-        # one node mask, the sink's; the supports' masks come from the arrays.
+        # two node masks of the sink: the content's, which validates it, and
+        # the Nash verdicts'; the supports' masks come from the arrays.
         calls = {"_chains": 0, "node_mask": 0}
-        for name in calls:
-            real = getattr(zsflow.prefgraph, name)
+        for owner, name in ((zsflow.prefgraph, "_chains"), (Game, "node_mask")):
+            real = getattr(owner, name)
 
             def counted(*args, real=real, name=name):
                 calls[name] += 1
                 return real(*args)
 
-            for module in (zsflow.prefgraph, zsflow.equilibrium, zsflow.cli):
+            for module in (owner, zsflow.prefgraph, zsflow.equilibrium, zsflow.cli):
                 if getattr(module, name, None) is real:
                     monkeypatch.setattr(module, name, counted)
         game = GOLDEN / "tie_heavy.json" if stem == "tie_heavy" else games_dir / f"{stem}.json"
         code, _, _ = run_cli(capsys, "analyze", str(game), "--format", "json")
-        assert code == 0 and calls == {"_chains": 3, "node_mask": 1}
+        assert code == 0 and calls == {"_chains": 3, "node_mask": 2}
 
     @pytest.mark.parametrize(
         "stem", ["diamond", "matching_pennies", "rock_paper_scissors", "tie_heavy"]
@@ -346,6 +367,19 @@ class TestSimulate:
         assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
         assert not csv.exists()
 
+    def test_text_reports_the_manifest_distance(self, capsys, games_dir, tmp_path):
+        # The text line prints dist_content, the mass off the sink, which is
+        # not 1 - x_H in floating point (here about 1e-53 against 0 or 1e-16).
+        argv = [
+            "simulate", str(games_dir / "diamond.json"), "--start", "random",
+            "--horizon", "20", "--out-dir", str(tmp_path),
+        ]
+        _, text, _ = run_cli(capsys, *argv)
+        _, js, _ = run_cli(capsys, *argv, "--format", "json")
+        dist = json.loads(js)["result"]["final_dist_content"]
+        assert 0.0 < dist < 1e-40
+        assert f"(dist_content = {dist:.3e})" in text
+
     def test_non_finite_horizon(self, capsys, games_dir, tmp_path):
         game = str(games_dir / "matching_pennies.json")
         for horizon in ("inf", "nan"):
@@ -475,6 +509,24 @@ class TestSymmetrise:
         code, _, _ = run_cli(capsys, "symmetrise", f"{stem}.json", "--out", out_name)
         assert code == 0
         assert (tmp_path / out_name).read_bytes() == (GOLDEN / out_name).read_bytes()
+
+    @pytest.mark.parametrize("parent", ["plain.txt", "missing"])
+    def test_bad_out_path_fails_before_any_work(
+        self, capsys, games_dir, tmp_path, monkeypatch, parent
+    ):
+        (tmp_path / "plain.txt").write_text("")
+
+        def fail(*args):
+            raise AssertionError("symmetrise ran before the output path was checked")
+
+        monkeypatch.setattr(zsflow.cli, "symmetrise", fail)
+        code, out, err = run_cli(
+            capsys, "symmetrise", str(games_dir / "matching_pennies.json"),
+            "--out", str(tmp_path / parent / "x.json"),
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        assert [p.name for p in tmp_path.iterdir()] == ["plain.txt"]
 
     def test_rejects_symmetric_input(self, capsys, games_dir, tmp_path):
         code, _, err = run_cli(

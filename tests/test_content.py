@@ -13,11 +13,11 @@ from zsflow import (
     maximal_subgames,
     mixed,
     random_game,
-    random_mixed_profile,
     sink_component,
     uniform_profile,
 )
 
+from face_sampling import random_face_profile
 from graph_oracle import oracle_corpus, oracle_maximal_subgames
 
 
@@ -101,7 +101,7 @@ class TestMembership:
             k = int(rng.integers(1, len(profiles) + 1))
             chosen = rng.choice(len(profiles), size=k, replace=False)
             H = {profiles[i] for i in chosen}
-            z = random_mixed_profile(rng, g, interior=False)
+            z = random_face_profile(rng, g)
             assert in_product(z, H) == (abs(first(g, z, H).mass[0] - 1.0) <= 1e-12)
 
 

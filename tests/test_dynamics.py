@@ -30,6 +30,7 @@ from zsflow.dynamics import _field, _operator, _sink_rates, _stack
 from zsflow.sampling import game_corpus, random_game, random_interior_stack, random_mixed_profile
 
 from dynamics_oracle import dense_sink_rates, direct_flow, mwu_step
+from face_sampling import random_face_profile
 
 
 def field(g, z):
@@ -323,7 +324,7 @@ class TestLyapunov:
         for g in game_corpus(rng, 300, 8, 8, 8):
             size = g.n if g.symmetric else g.n * g.m
             inside = rng.random(size) < rng.uniform(0.0, 1.0)
-            boundary = [random_mixed_profile(rng, g, interior=False) for _ in range(10)]
+            boundary = [random_face_profile(rng, g) for _ in range(10)]
             Z = np.concatenate([random_interior_stack(rng, g, 10), _stack(boundary)])
             fast, dense = _sink_rates(g, inside, Z), dense_sink_rates(g, inside, Z)
             assert np.allclose(fast, dense, rtol=1e-12, atol=1e-15)
@@ -456,7 +457,7 @@ class TestWriters:
         rng = np.random.default_rng(31)
         for n in (2, 5, 13):
             g = random_game(rng, symmetric, n, None if symmetric else n + 1)
-            z0 = random_mixed_profile(rng, g, interior=True)
+            z0 = random_mixed_profile(rng, g)
             H = sink_component(build_graph(g)) if with_sink else None
             tr = integrate(g, z0, IntegratorConfig(step=0.05, horizon=1.0), H=H)
             path = tmp_path / f"{n}.csv"

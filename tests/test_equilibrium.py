@@ -17,7 +17,7 @@ from zsflow import (
 from zsflow.dynamics import _field, _operator, _stack
 from zsflow.equilibrium import CHUNK_ENTRIES, _enumerate_equilibria
 from zsflow.game import SUPPORT_ATOL
-from zsflow.prefgraph import _connectivity, node_mask
+from zsflow.prefgraph import _connectivity
 from zsflow.sampling import game_corpus
 
 from nash_oracle import enumerate_equilibria as oracle_equilibria
@@ -250,7 +250,7 @@ class TestGraphCertification:
             ):
                 prods = set(sets[0]) if g.symmetric else {(i, j) for i in sets[0] for j in sets[1]}
                 assert in_sink == (prods <= sink)
-                assert connected == _connectivity(pg, node_mask(pg, prods))[0]
+                assert connected == _connectivity(pg, g.node_mask(prods))[0]
             ties = sum(
                 a.weight == 0 and a.src in prods and a.dst in prods for a in pg.arcs
             )

@@ -16,6 +16,7 @@ from zsflow import (
     content_of,
     game_to_json,
     integrate,
+    lyapunov_rates,
     make_game,
     mixed,
     parse_game,
@@ -23,8 +24,11 @@ from zsflow import (
     sink_component,
     solve_nash,
     uniform_profile,
+    write_trajectory_csv,
 )
+from zsflow.cli import _parse_start
 from zsflow.dynamics import _profile_masses, _stack
+from zsflow.sampling import game_corpus
 
 from graph_oracle import IncomparableProfilesError, comparable, weight
 from symmetrise_oracle import identity_corpus
@@ -308,3 +312,56 @@ class TestMixedProfiles:
             sample(mp, mixed([1.0, 0.0]))
         with pytest.raises(ValueError):
             sample(rps, mixed([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]))
+
+
+# Profiles foreign to matching pennies (mp) or rock-paper-scissors (rps).
+FOREIGN = {
+    "mp-out-of-range": ("mp", (2, 0)),
+    "mp-wrong-arity": ("mp", (0,)),
+    "mp-float": ("mp", (0.0, 1)),
+    "rps-out-of-range": ("rps", 3),
+    "rps-wrong-arity": ("rps", (0, 1)),
+    "rps-bool": ("rps", True),
+    "rps-float": ("rps", 1.0),
+}
+
+
+class TestLayout:
+    """Game owns the profile order, the node mask and the player blocks."""
+
+    @pytest.mark.parametrize("use", ["node_mask", "content_of", "integrate", "lyapunov_rates"])
+    @pytest.mark.parametrize("case", FOREIGN.values(), ids=FOREIGN.keys())
+    def test_foreign_profile_rejected_everywhere(self, request, case, use):
+        # Next to the whole sink, where a set would merge True into 1 and
+        # 1.0 into 1, so each entry point must check the profiles as given.
+        g = request.getfixturevalue(case[0])
+        H = [*sink_component(build_graph(g)), case[1]]
+        calls = {
+            "node_mask": lambda: g.node_mask(H),
+            "content_of": lambda: content_of(H, g),
+            "integrate": lambda: sample(g, uniform_profile(g), H),
+            "lyapunov_rates": lambda: lyapunov_rates(g, H, [uniform_profile(g)]),
+        }
+        with pytest.raises(ValueError, match="is not a profile of this game"):
+            calls[use]()
+
+    def test_masks_starts_and_csv_follow_the_layout(self, tmp_path):
+        rng = np.random.default_rng(13)
+        for g in game_corpus(rng, 40):
+            sizes = [len(b) for b in g.blocks]
+            assert sizes == ([g.n] if g.symmetric else [g.n, g.m])
+            profiles = g.profiles()
+            for p in profiles:
+                mask = g.node_mask([p])
+                assert mask.shape == (len(profiles),)
+                assert np.flatnonzero(mask).tolist() == [profiles.index(p)]
+            # One weight group per block; any other count is refused.
+            spec = ";".join(",".join(["1"] + ["0"] * (k - 1)) for k in sizes)
+            z = _parse_start(spec, g, 0)
+            assert [v.size for v in z.vectors] == sizes
+            with pytest.raises(ValueError, match="weight group"):
+                _parse_start(spec + ";1", g, 0)
+            path = tmp_path / "run.csv"
+            write_trajectory_csv(sample(g, z, profiles), g, str(path))
+            header = path.read_text().splitlines()[0].split(",")
+            assert len(header) == 1 + sum(sizes) + 3

@@ -19,15 +19,16 @@ from zsflow import (
     sink_component,
     to_dot,
 )
-from zsflow.prefgraph import _chains, _connectivity, node_mask
+from zsflow.prefgraph import _chains, _connectivity
 from zsflow.sampling import game_corpus
 
 from graph_oracle import oracle_arcs, oracle_corpus, oracle_scc, weight
 
 
-def strongly_connected(pg, subset) -> bool:
-    """Whether the subgraph of pg induced by subset is strongly connected."""
-    return _connectivity(pg, node_mask(pg, subset))[0]
+def strongly_connected(g, pg, subset) -> bool:
+    """Whether the subgraph of g's preference graph pg induced by subset is
+    strongly connected."""
+    return _connectivity(pg, g.node_mask(subset))[0]
 
 
 def brute_force_components(nodes, arcs):
@@ -190,9 +191,9 @@ class TestAgainstOracle:
         part = scc(pg)
         assert part == oracle_scc(pg.nodes, arcs)  # every SccPartition field
         # Components are strongly connected; two of them together never are.
-        assert all(strongly_connected(pg, c) for c in part.components)
+        assert all(strongly_connected(g, pg, c) for c in part.components)
         if len(part.components) > 1:
-            assert not strongly_connected(pg, part.components[0] | part.components[-1])
+            assert not strongly_connected(g, pg, part.components[0] | part.components[-1])
 
     def test_seeded_corpus(self):
         for g in oracle_corpus(20, 240):
@@ -231,21 +232,21 @@ class TestStrongConnectivity:
     def test_diamond_subgame_connected(self, diamond):
         pg = build_graph(diamond)
         sub = {(i, j) for i in (1, 2) for j in (1, 2)}
-        assert strongly_connected(pg, sub)
+        assert strongly_connected(diamond, pg, sub)
 
     def test_singleton_connected(self, mp):
-        assert strongly_connected(build_graph(mp), {(0, 0)})
+        assert strongly_connected(mp, build_graph(mp), {(0, 0)})
 
     def test_disconnected_pair(self, mp):
-        assert not strongly_connected(build_graph(mp), {(0, 0), (1, 1)})
+        assert not strongly_connected(mp, build_graph(mp), {(0, 0), (1, 1)})
 
     def test_empty_set_rejected(self, mp):
         with pytest.raises(ValueError):
-            strongly_connected(build_graph(mp), set())
+            strongly_connected(mp, build_graph(mp), set())
 
     def test_foreign_node_rejected(self, mp):
         with pytest.raises(ValueError):
-            strongly_connected(build_graph(mp), {(5, 5)})
+            strongly_connected(mp, build_graph(mp), {(5, 5)})
 
 
 class TestDot:
@@ -304,7 +305,7 @@ class TestOrdinal:
                 nodes = tuple(v for v, keep in zip(pg.nodes, pick) if keep)
                 inner = [a for a in arcs if a.src in nodes and a.dst in nodes]
                 expected = len(oracle_scc(nodes, inner).components) == 1
-                assert strongly_connected(pg, nodes) == expected
+                assert strongly_connected(g, pg, nodes) == expected
                 ties = sum(1 for a in inner if a.weight == 0) // 2
                 assert _chains(pg, pick)[2] == ties
 

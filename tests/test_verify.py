@@ -32,7 +32,7 @@ from zsflow.verify import (
 def sink_mass(z, H) -> float:
     """Product mass z places on the profiles in H."""
     x, y = z.vectors[0], z.vectors[-1]
-    return float(sum(x[p] if z.symmetric else x[p[0]] * y[p[1]] for p in H))
+    return float(sum(x[p] if len(z.vectors) == 1 else x[p[0]] * y[p[1]] for p in H))
 
 
 def per_point_lyapunov(count: int, seed: int, points_per_game: int = 50):
