@@ -133,7 +133,6 @@ def _analyze(args) -> int:
     cont = content_of(sink, g)
     cert = solve_nash(g, pg)
     nash_check = cert.essential
-    arcs = part.ties + (g.n * (g.n - 1) if g.symmetric else g.n * g.m * (g.n + g.m - 2)) // 2
     report = {
         "game": {
             "path": args.game,
@@ -145,7 +144,7 @@ def _analyze(args) -> int:
         },
         "graph": {
             "nodes": len(pg.nodes),
-            "arcs": arcs,
+            "arcs": pg.arc_count,
             "zero_weight_arc_pairs": part.ties,
             "components": len(part.components),
             "component_sizes": [len(c) for c in part.components],
@@ -184,7 +183,7 @@ def _analyze(args) -> int:
     )
     lines = [
         f"game: {g.n}x{g.m} {g.mode} ({args.game})",
-        f"preference graph: {len(pg.nodes)} nodes, {arcs} arcs, "
+        f"preference graph: {len(pg.nodes)} nodes, {pg.arc_count} arcs, "
         f"{part.ties} tied pair(s), {len(part.components)} component(s)",
         f"sink component ({len(sink)}/{len(pg.nodes)} profiles): "
         + " ".join(report["sink"]["profiles"]),

@@ -183,8 +183,11 @@ def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
 
     The selected equilibrium has the largest support, then the
     lexicographically smallest support pair, then comes first in enumeration
-    order.  pg is the preference graph of g if the caller has built it already.
+    order.  pg, if given, must be the preference graph of g (else ValueError).
     """
+    pg = build_graph(g) if pg is None else pg
+    if pg.game != g:
+        raise ValueError("pg is not the preference graph of g")
     X, Y, v = _enumerate_equilibria(g)
     SX, SY = X > SUPPORT_ATOL, Y > SUPPORT_ATOL
     size = SX.sum(axis=1) + SY.sum(axis=1)
@@ -199,7 +202,6 @@ def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
         sets, ess_sets = (SX[j], SY[j]), (SX.any(axis=0), SY.any(axis=0))
     # Node masks of the products of the per-block strategy masks, row-major.
     chosen, essential = (reduce(np.logical_and.outer, s).ravel() for s in (sets, ess_sets))
-    pg = build_graph(g) if pg is None else pg
     sink = g.node_mask(sink_component(pg))
     connected, ties = _connectivity(pg, essential)
     return NashCertificate(

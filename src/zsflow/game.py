@@ -175,16 +175,16 @@ class Game:
 
     def node_mask(self, subset: Iterable[Profile]) -> np.ndarray:
         """Boolean mask over profiles() of the profiles in subset, in one pass
-        over subset.  Raises ValueError for anything else: a profile is an int
-        (not a bool) in range if symmetric, else a pair of ints in range."""
+        over subset.  Raises ValueError for anything else: a profile is an index
+        (of type int, so not a bool, in range) if symmetric, else a pair of them."""
         n, m = self.n, self.m
         index = []
         for p in subset:
             if self.symmetric:
-                k = p if isinstance(p, int) and not isinstance(p, bool) and 0 <= p < n else -1
+                k = p if type(p) is int and 0 <= p < n else -1
             else:
                 i, j = p if isinstance(p, tuple) and len(p) == 2 else (-1, -1)
-                ok = isinstance(i, int) and isinstance(j, int) and 0 <= i < n and 0 <= j < m
+                ok = type(i) is int and type(j) is int and 0 <= i < n and 0 <= j < m
                 k = i * m + j if ok else -1
             if k < 0:
                 raise ValueError(f"{p!r} is not a profile of this game")

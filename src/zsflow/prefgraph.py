@@ -10,15 +10,16 @@ Strong components need only one chain per line: a row's arcs follow the
 column player's weak order over it, a column's the row player's, and a chain
 in that order with back arcs between consecutive tied entries reaches the same
 nodes, on any node subset too.  Symmetric games (tournaments) keep their full
-arcs, which are otherwise built only when read.
+arcs.  A graph is a view of its game: it holds the game only, and builds its
+nodes and arcs from it when they are first read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -39,26 +40,25 @@ class SinkUniquenessError(RuntimeError):
         self.components = components
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PreferenceGraph:
-    """A preference graph over ints, the game's payoffs times scale.
+    """The preference graph of game, over its payoffs times game.int_scale.
 
     The arc arrays are built on first read: arc k runs from nodes[src[k]] to
-    nodes[dst[k]] with exact weight weights[k] / scale.  Graphs are equal when
-    their nodes, names, mode and arcs are.
+    nodes[dst[k]] with exact weight weights[k] / game.int_scale.
     """
 
-    nodes: tuple[Profile, ...]
-    ints: np.ndarray
-    scale: int
-    symmetric: bool
-    node_names: tuple[str, ...]
+    game: Game
+
+    @cached_property
+    def nodes(self) -> tuple[Profile, ...]:
+        return tuple(self.game.profiles())
 
     @cached_property
     def _full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        M = self.ints
+        M = self.game.int_view
         n, m = M.shape
-        if self.symmetric:
+        if self.game.symmetric:
             p, q = np.nonzero(np.arange(n)[:, None] < np.arange(n))
             w = M[p, q]
         else:
@@ -87,7 +87,7 @@ class PreferenceGraph:
         # Node ids of every row, then every column, each least preferred first
         # by its mover: rows by falling payoff, columns by rising payoff; with
         # each entry's line and its run of equal payoffs within the line.
-        M = self.ints
+        M = self.game.int_view
         n, m = M.shape
         rows = np.argsort(-M, axis=1, kind="stable") + m * np.arange(n)[:, None]
         cols = np.argsort(M.T, axis=1, kind="stable") * m + np.arange(m)[:, None]
@@ -101,58 +101,44 @@ class PreferenceGraph:
     @cached_property
     def arcs(self) -> tuple[Arc, ...]:
         """The arcs as Arc tuples with Fraction weights, built on first use."""
-        nodes, scale = self.nodes, self.scale
+        nodes, scale = self.nodes, self.game.int_scale
         return tuple(
             Arc(nodes[s], nodes[d], Fraction(w, scale))
             for s, d, w in zip(self.src.tolist(), self.dst.tolist(), self.weights.tolist())
         )
 
+    @property
+    def arc_count(self) -> int:
+        """len(arcs) without building them: each node has, in each player
+        block, one comparable partner per other strategy, and a tied pair
+        has two arcs."""
+        partners = sum(len(block) - 1 for block in self.game.blocks)
+        return len(self.nodes) * partners // 2 + scc(self).ties
+
     @cached_property
     def _partition(self) -> SccPartition:
         return _condense(self)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, PreferenceGraph):
-            return NotImplemented
-        mine = (self.nodes, self.node_names, self.symmetric, self.arcs)
-        return mine == (other.nodes, other.node_names, other.symmetric, other.arcs)
 
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class SccPartition:
-    """Condensation of a preference graph.
-
-    Components are numbered by the smallest row-major position of any
-    contained node.  edges, the (src, dst) component pairs of the full arcs
-    with src != dst, may be given as a function, called on first read.
-    """
+    """Condensation of a preference graph: components numbered by the
+    smallest row-major position of any contained node, the sink components'
+    numbers and the graph's tied pairs."""
 
     components: tuple[frozenset, ...]
-    _edges: frozenset | Callable[[], frozenset]
-    sinks: tuple[int, ...] = ()
-    ties: int = 0  # tied pairs of the graph, left out of comparisons
-
-    @cached_property
-    def edges(self) -> frozenset:
-        return self._edges() if callable(self._edges) else self._edges
-
-    def _key(self) -> tuple:
-        return self.components, self.edges, self.sinks
-
-    def __eq__(self, other: object) -> bool:
-        return self._key() == other._key() if isinstance(other, SccPartition) else NotImplemented
+    sinks: tuple[int, ...]
+    ties: int
 
 
 def build_graph(g: Game) -> PreferenceGraph:
     """The preference graph of g over its exact integer payoffs."""
-    nodes = tuple(g.profiles())
-    names = tuple(g.profile_name(v) for v in nodes)
-    return PreferenceGraph(nodes, g.int_view, g.int_scale, g.symmetric, names)
+    return PreferenceGraph(g)
 
 
 def _chains(pg: PreferenceGraph, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Arcs among the masked nodes that reach what their full arcs reach, and their tied pairs."""
-    if pg.symmetric:
+    if pg.game.symmetric:
         keep = inside[pg.src] & inside[pg.dst]
         return pg.src[keep], pg.dst[keep], int(np.count_nonzero(pg.weights[keep] == 0)) // 2
     keep = inside[pg._lines[0]]
@@ -222,16 +208,10 @@ def _condense(pg: PreferenceGraph) -> SccPartition:
     for v, c in zip(pg.nodes, comp):
         members[c].append(v)
     comp_of = np.array(comp, dtype=np.intp)
-    twin = replace(pg)  # the same graph without its cache, so no reference cycle
-
-    def edges() -> frozenset:
-        cs, cd = comp_of[twin.src], comp_of[twin.dst]
-        return frozenset(zip(cs[cs != cd].tolist(), cd[cs != cd].tolist()))
-
     # A component the chains leave is one the full arcs leave, and back.
     left = np.bincount(comp_of[src][comp_of[src] != comp_of[dst]], minlength=found)
     sinks = tuple(np.flatnonzero(left == 0).tolist())
-    return SccPartition(tuple(frozenset(c) for c in members), edges, sinks, ties)
+    return SccPartition(tuple(frozenset(c) for c in members), sinks, ties)
 
 
 def scc(pg: PreferenceGraph) -> SccPartition:
@@ -263,20 +243,18 @@ def _connectivity(pg: PreferenceGraph, inside: np.ndarray) -> tuple[bool, int]:
 
 
 def _quote(name: str) -> str:
-    return '"' + name.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    return '"' + name.translate({ord("\\"): "\\\\", ord('"'): '\\"'}) + '"'
 
 
 def to_dot(pg: PreferenceGraph, highlight: Iterable[Profile] = ()) -> str:
     """Deterministic DOT rendering; highlighted nodes are shaded."""
     marked = frozenset(highlight)
-    names = dict(zip(pg.nodes, pg.node_names))
+    names = {v: _quote(pg.game.profile_name(v)) for v in pg.nodes}
     lines = ["digraph preference_graph {"]
     for v in pg.nodes:
         attr = " [style=filled, fillcolor=lightgrey]" if v in marked else ""
-        lines.append(f"  {_quote(names[v])}{attr};")
+        lines.append(f"  {names[v]}{attr};")
     for a in pg.arcs:
-        lines.append(
-            f"  {_quote(names[a.src])} -> {_quote(names[a.dst])} [label={_quote(str(a.weight))}];"
-        )
+        lines.append(f"  {names[a.src]} -> {names[a.dst]} [label={_quote(str(a.weight))}];")
     lines.append("}")
     return "\n".join(lines) + "\n"

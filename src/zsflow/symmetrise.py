@@ -67,8 +67,11 @@ def check_weight_identity(g: Game) -> WeightIdentityReport:
     values, in row-major order of (p, q).
     """
     _check_nonsymmetric(g)
-    # Over the base game's scale: the symmetrised Game may reduce its own.
-    S = _pair_differences(g.int_view)
+    return _weight_identity(g, _pair_differences(g.int_view))
+
+
+def _weight_identity(g: Game, S: np.ndarray) -> WeightIdentityReport:
+    """check_weight_identity against S, g's symmetrised matrix over g's scale."""
     pg = build_graph(g)
     order, m = g.profiles(), g.m
     N = len(order)

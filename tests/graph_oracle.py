@@ -95,7 +95,9 @@ def oracle_arcs(g: Game) -> tuple[Arc, ...]:
 
 
 def oracle_scc(nodes: tuple, arcs: Iterable[Arc]) -> SccPartition:
-    """Tarjan over hashed profiles, components numbered by smallest position."""
+    """Tarjan over hashed profiles, components numbered by smallest position,
+    the components no arc leaves as sinks, and half the zero-weight arcs as
+    tied pairs."""
     arcs = tuple(arcs)
     adj = {v: [] for v in nodes}
     for a in arcs:
@@ -155,7 +157,8 @@ def oracle_scc(nodes: tuple, arcs: Iterable[Arc]) -> SccPartition:
     )
     has_out = {src for src, _ in edges}
     sinks = tuple(k for k in range(len(ordered)) if k not in has_out)
-    return SccPartition(ordered, edges, sinks)
+    ties = sum(1 for a in arcs if a.weight == 0) // 2
+    return SccPartition(ordered, sinks, ties)
 
 
 def oracle_maximal_subgames(H: Iterable[Profile], g: Game):

@@ -217,7 +217,7 @@ class TestAnalyze:
             argv += ["--dot", str(tmp_path / "diamond.dot")]
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0 and len(graphs) == 1 and len(condensed) == 1
-        # The arc counts have closed forms; only the DOT file reads the arcs.
+        # pg.arc_count builds no arcs; only the DOT file reads them.
         assert ("_full" in vars(graphs[0])) == dot
         assert ("arcs" in vars(graphs[0])) == dot
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from zsflow import (
+    Game,
     build_graph,
     certificate_to_dict,
     make_game,
@@ -229,6 +230,15 @@ class TestGraphCertification:
         cert = solve_nash(diamond)
         prods = {(i, j) for i in cert.support[0] for j in cert.support[1]}
         assert prods < sink
+
+    def test_graph_of_another_game_rejected(self, mp, diamond):
+        # Read against matching pennies' graph, the diamond's verdicts would
+        # be in_sink=False and strongly_connected=False.
+        with pytest.raises(ValueError, match="not the preference graph of g"):
+            solve_nash(diamond, build_graph(mp))
+        twin = Game(diamond.int_view, diamond.int_scale, False, diamond.row_labels, diamond.col_labels)
+        assert twin is not diamond
+        assert solve_nash(diamond, build_graph(twin)).essential.passed
 
     def test_fuzz(self):
         rng = np.random.default_rng(47)

@@ -319,6 +319,7 @@ FOREIGN = {
     "mp-out-of-range": ("mp", (2, 0)),
     "mp-wrong-arity": ("mp", (0,)),
     "mp-float": ("mp", (0.0, 1)),
+    "mp-bool": ("mp", (True, 0)),
     "rps-out-of-range": ("rps", 3),
     "rps-wrong-arity": ("rps", (0, 1)),
     "rps-bool": ("rps", True),

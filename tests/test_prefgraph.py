@@ -6,10 +6,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import zsflow.prefgraph
 from zsflow import (
     Arc,
     Game,
-    PreferenceGraph,
+    SccPartition,
     SinkUniquenessError,
     build_graph,
     content_of,
@@ -100,6 +101,7 @@ class TestCanonicalGraphs:
             ties = sum(1 for a in pg.arcs if a.weight == 0) // 2
             # one arc per unordered pair, two if tied
             assert len(pg.arcs) == n * (n - 1) // 2 + ties
+            assert pg.arc_count == len(pg.arcs)
 
     def test_nonsymmetric_arc_slots(self):
         rng = np.random.default_rng(8)
@@ -111,6 +113,7 @@ class TestCanonicalGraphs:
             ties = sum(1 for a in pg.arcs if a.weight == 0) // 2
             slots = m * n * (n - 1) // 2 + n * m * (m - 1) // 2
             assert len(pg.arcs) == slots + ties
+            assert pg.arc_count == len(pg.arcs)
 
     def test_arc_weights_match_weight_function(self, diamond):
         pg = build_graph(diamond)
@@ -131,7 +134,14 @@ class TestCanonicalGraphs:
             assert arcs == arcs2
 
     def test_deterministic_rebuild(self, diamond):
-        assert build_graph(diamond) == build_graph(diamond)
+        a, b = build_graph(diamond), build_graph(diamond)
+        assert (a.nodes, a.arcs) == (b.nodes, b.arcs)
+
+    def test_graph_holds_only_its_game(self):
+        for g in oracle_corpus(45, 40):
+            pg = build_graph(g)
+            assert set(vars(pg)) == {"game"} and pg.game is g
+            assert pg.nodes == tuple(g.profiles())
 
 
 class TestCondensation:
@@ -145,7 +155,6 @@ class TestCondensation:
         assert len(part.components) == 2
         assert part.components[0] == {(0, 0)}  # numbered by smallest node position
         assert len(part.components[1]) == 8
-        assert part.edges == {(0, 1)}
         assert part.sinks == (1,)
 
     def test_component_numbering_deterministic(self, diamond):
@@ -167,16 +176,13 @@ class TestCondensation:
         sink = sink_component(build_graph(diamond))
         assert sink == frozenset((i, j) for i in range(3) for j in range(3)) - {(0, 0)}
 
-    def test_multiple_sinks_rejected(self):
-        # Hand-built graph (not from a game): two nodes and no payoffs to
-        # compare them by, so no arcs.
-        pg = PreferenceGraph(
-            nodes=(0, 1), ints=np.zeros((0, 0), dtype=np.int64), scale=1,
-            symmetric=True, node_names=("u", "v"),
-        )
+    def test_multiple_sinks_rejected(self, mp, monkeypatch):
+        # No game has two sinks, so the condensation is patched to report two.
+        split = SccPartition((frozenset({(0, 0), (0, 1)}), frozenset({(1, 0), (1, 1)})), (0, 1), 0)
+        monkeypatch.setattr(zsflow.prefgraph, "_condense", lambda pg: split)
         with pytest.raises(SinkUniquenessError) as err:
-            sink_component(pg)
-        assert len(err.value.components) == 2
+            sink_component(build_graph(mp))
+        assert err.value.components == list(split.components)
 
 
 class TestAgainstOracle:

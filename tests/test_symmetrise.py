@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import zsflow.verify
 from zsflow import (
     GameFormatError,
     build_graph,
@@ -186,7 +187,8 @@ class TestAgainstOracle:
                 ints[a, b] += delta
             return ints
 
-        monkeypatch.setattr(symmetrise_module, "_pair_differences", shifted)
+        # verify_symmetrisation builds the matrix once, by its own import.
+        monkeypatch.setattr(zsflow.verify, "_pair_differences", shifted)
         report = verify_symmetrisation(10, 5)
         assert report["failures"] == [message]
         game = report["counterexample"]["game"]
