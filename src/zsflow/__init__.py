@@ -40,7 +40,6 @@ from .game import (
     uniform_profile,
 )
 from .prefgraph import (
-    Arc,
     PreferenceGraph,
     SccPartition,
     SinkUniquenessError,

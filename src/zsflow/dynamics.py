@@ -82,13 +82,6 @@ class Trajectory:
     def __len__(self) -> int:
         return int(self.times.size)
 
-    def state(self, k: int) -> MixedProfile:
-        return MixedProfile(tuple(s[k] for s in self.states))
-
-    @property
-    def final(self) -> MixedProfile:
-        return self.state(len(self) - 1)
-
 
 class _Operator(NamedTuple):
     """Skew operator of a game on the stacked state of all players."""

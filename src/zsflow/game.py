@@ -249,7 +249,7 @@ def parse_game(text: str) -> Game:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise GameFormatError(f"invalid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise GameFormatError("game file must contain a JSON object")
@@ -311,10 +311,6 @@ class MixedProfile:
             arr.setflags(write=False)
             cleaned.append(arr)
         object.__setattr__(self, "vectors", tuple(cleaned))
-
-    def support(self, atol: float = 0.0) -> tuple[tuple[int, ...], ...]:
-        """Per-player indices with mass above atol (strictly positive if 0)."""
-        return tuple(tuple(int(i) for i in np.nonzero(v > atol)[0]) for v in self.vectors)
 
 
 def mixed(*vectors) -> MixedProfile:

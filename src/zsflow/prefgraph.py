@@ -3,8 +3,8 @@
 Nodes are pure profiles.  For every comparable pair {p, q} there is an arc
 p -> q exactly when weight(p, q) <= 0, i.e. the arc points at the profile the
 deviating player weakly prefers; a tie yields the antiparallel pair of
-zero-weight arcs.  Arc weights are |weight(p, q)|, held as exact integers
-over the game's common denominator.
+zero-weight arcs.  An arc's weight is |weight(p, q)|; all arcs are held in
+one array, with exact integer weights over the game's common denominator.
 
 Strong components need only one chain per line: a row's arcs follow the
 column player's weak order over it, a column's the row player's, and a chain
@@ -19,17 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .game import Game, Profile
-
-
-class Arc(NamedTuple):
-    src: Profile
-    dst: Profile
-    weight: Fraction
 
 
 class SinkUniquenessError(RuntimeError):
@@ -44,8 +38,9 @@ class SinkUniquenessError(RuntimeError):
 class PreferenceGraph:
     """The preference graph of game, over its payoffs times game.int_scale.
 
-    The arc arrays are built on first read: arc k runs from nodes[src[k]] to
-    nodes[dst[k]] with exact weight weights[k] / game.int_scale.
+    arcs, built on first read, is one read-only structured array: arc k runs
+    from nodes[src[k]] to nodes[dst[k]] with exact weight weight[k] /
+    game.int_scale, stored in the game's integer dtype (int64 or object).
     """
 
     game: Game
@@ -55,7 +50,7 @@ class PreferenceGraph:
         return tuple(self.game.profiles())
 
     @cached_property
-    def _full(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def arcs(self) -> np.ndarray:
         M = self.game.int_view
         n, m = M.shape
         if self.game.symmetric:
@@ -80,7 +75,12 @@ class PreferenceGraph:
         pair = np.repeat(np.arange(w.size), reps)
         back = (w > 0)[pair]
         back[np.cumsum(reps)[tie] - 1] = True
-        return np.where(back, q[pair], p[pair]), np.where(back, p[pair], q[pair]), np.abs(w)[pair]
+        arcs = np.empty(pair.size, dtype=[("src", np.intp), ("dst", np.intp), ("weight", w.dtype)])
+        arcs["src"] = np.where(back, q[pair], p[pair])
+        arcs["dst"] = np.where(back, p[pair], q[pair])
+        arcs["weight"] = np.abs(w)[pair]
+        arcs.flags.writeable = False
+        return arcs
 
     @cached_property
     def _lines(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -96,22 +96,10 @@ class PreferenceGraph:
         new = (line[1:] != line[:-1]) | (np.diff(M.ravel()[seq]) != 0)
         return seq, line, np.cumsum(np.concatenate([[True], new]))
 
-    src, dst, weights = (property(lambda self, k=k: self._full[k]) for k in range(3))
-
-    @cached_property
-    def arcs(self) -> tuple[Arc, ...]:
-        """The arcs as Arc tuples with Fraction weights, built on first use."""
-        nodes, scale = self.nodes, self.game.int_scale
-        return tuple(
-            Arc(nodes[s], nodes[d], Fraction(w, scale))
-            for s, d, w in zip(self.src.tolist(), self.dst.tolist(), self.weights.tolist())
-        )
-
     @property
     def arc_count(self) -> int:
-        """len(arcs) without building them: each node has, in each player
-        block, one comparable partner per other strategy, and a tied pair
-        has two arcs."""
+        """len(arcs) without building them: each node has one comparable partner
+        per other strategy of each player block, and a tied pair has two arcs."""
         partners = sum(len(block) - 1 for block in self.game.blocks)
         return len(self.nodes) * partners // 2 + scc(self).ties
 
@@ -139,8 +127,8 @@ def build_graph(g: Game) -> PreferenceGraph:
 def _chains(pg: PreferenceGraph, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Arcs among the masked nodes that reach what their full arcs reach, and their tied pairs."""
     if pg.game.symmetric:
-        keep = inside[pg.src] & inside[pg.dst]
-        return pg.src[keep], pg.dst[keep], int(np.count_nonzero(pg.weights[keep] == 0)) // 2
+        arcs = pg.arcs[inside[pg.arcs["src"]] & inside[pg.arcs["dst"]]]
+        return arcs["src"], arcs["dst"], int(np.count_nonzero(arcs["weight"] == 0)) // 2
     keep = inside[pg._lines[0]]
     seq, line, run = (a[keep] for a in pg._lines)
     step, tie = line[1:] == line[:-1], run[1:] == run[:-1]
@@ -249,12 +237,11 @@ def _quote(name: str) -> str:
 def to_dot(pg: PreferenceGraph, highlight: Iterable[Profile] = ()) -> str:
     """Deterministic DOT rendering; highlighted nodes are shaded."""
     marked = frozenset(highlight)
-    names = {v: _quote(pg.game.profile_name(v)) for v in pg.nodes}
+    names = [_quote(pg.game.profile_name(v)) for v in pg.nodes]
+    shade = " [style=filled, fillcolor=lightgrey]"
     lines = ["digraph preference_graph {"]
-    for v in pg.nodes:
-        attr = " [style=filled, fillcolor=lightgrey]" if v in marked else ""
-        lines.append(f"  {names[v]}{attr};")
-    for a in pg.arcs:
-        lines.append(f"  {names[a.src]} -> {names[a.dst]} [label={_quote(str(a.weight))}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += [f"  {name}{shade if v in marked else ''};" for v, name in zip(pg.nodes, names)]
+    scale = pg.game.int_scale
+    labels = {w: _quote(str(Fraction(w, scale))) for w in set(pg.arcs["weight"].tolist())}
+    lines += [f"  {names[s]} -> {names[d]} [label={labels[w]}];" for s, d, w in pg.arcs.tolist()]
+    return "\n".join(lines + ["}", ""])

@@ -72,7 +72,7 @@ def check_weight_identity(g: Game) -> WeightIdentityReport:
 
 def _weight_identity(g: Game, S: np.ndarray) -> WeightIdentityReport:
     """check_weight_identity against S, g's symmetrised matrix over g's scale."""
-    pg = build_graph(g)
+    arcs = build_graph(g).arcs
     order, m = g.profiles(), g.m
     N = len(order)
     # A weight is a difference of two entries and each side of the identity a
@@ -82,8 +82,8 @@ def _weight_identity(g: Game, S: np.ndarray) -> WeightIdentityReport:
     big = max(-int(I.min()), int(I.max())) >= 2**61
     W = np.zeros((N, N), dtype=object if big else np.int64)
     # An arc p -> q of weight w means weight(p, q) = -w and weight(q, p) = w.
-    W[pg.dst, pg.src] = pg.weights
-    W[pg.src, pg.dst] = -pg.weights
+    W[arcs["dst"], arcs["src"]] = arcs["weight"]
+    W[arcs["src"], arcs["dst"]] = -arcs["weight"]
     i, j = np.divmod(np.arange(N), m)
     mid1 = i[:, None] * m + j  # (p1, q2)
     mid2 = i * m + j[:, None]  # (q1, p2)

@@ -1,24 +1,37 @@
 """Reference implementations of the graph -> sink -> content chain.
 
 These are the paper's per-pair definitions (``comparable`` and the weight
-``W_{p,q}``), and the per-pair Fraction arc builder, the profile-keyed Tarjan
-and the 2^rows subset scan that the library used before it moved to integer
-index arrays and the intersection closure.  They share no code with
-``zsflow.prefgraph`` or ``zsflow.content`` beyond the game's exact payoffs
-and the result types, so any difference is an error in the array versions.
+``W_{p,q}``), and the per-pair Fraction arc builder, the profile-keyed Tarjan,
+the DOT writer and the 2^rows subset scan that the library used before it
+moved to integer index arrays and the intersection closure.  They share no
+code with ``zsflow.prefgraph`` or ``zsflow.content`` beyond the game's exact
+payoffs and the result types, so any difference is an error in the array
+versions.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Literal, Optional
+from typing import Iterable, Literal, NamedTuple, Optional
 
 import numpy as np
 
-from zsflow import Arc, Game, SccPartition, make_game, random_game
+from zsflow import Game, PreferenceGraph, SccPartition, make_game, random_game
 from zsflow.game import Profile
 
 Comparability = Optional[Literal[1, 2, "all"]]
+
+
+class Arc(NamedTuple):
+    src: Profile
+    dst: Profile
+    weight: Fraction
+
+
+def profile_arcs(pg: PreferenceGraph) -> tuple[Arc, ...]:
+    """pg.arcs as Arc tuples: profiles for node indices, Fractions for weights."""
+    nodes, scale = pg.nodes, pg.game.int_scale
+    return tuple(Arc(nodes[s], nodes[d], Fraction(w, scale)) for s, d, w in pg.arcs.tolist())
 
 
 class IncomparableProfilesError(ValueError):
@@ -92,6 +105,24 @@ def oracle_arcs(g: Game) -> tuple[Arc, ...]:
             arcs.append(Arc(p, q, Fraction(0)))
             arcs.append(Arc(q, p, Fraction(0)))
     return tuple(arcs)
+
+
+def oracle_dot(g: Game, highlight: Iterable[Profile] = ()) -> str:
+    """DOT text of g's preference graph from oracle_arcs, one line per node
+    and per arc, highlighted nodes shaded."""
+
+    def quote(text: str) -> str:
+        return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+    marked = set(highlight)
+    out = "digraph preference_graph {\n"
+    for v in g.profiles():
+        shade = " [style=filled, fillcolor=lightgrey]" if v in marked else ""
+        out += f"  {quote(g.profile_name(v))}{shade};\n"
+    for a in oracle_arcs(g):
+        src, dst = quote(g.profile_name(a.src)), quote(g.profile_name(a.dst))
+        out += f"  {src} -> {dst} [label={quote(str(a.weight))}];\n"
+    return out + "}\n"
 
 
 def oracle_scc(nodes: tuple, arcs: Iterable[Arc]) -> SccPartition:

@@ -31,6 +31,7 @@ from zsflow.verify import (
 
 from diamond_oracle import diamond_game
 from dynamics_oracle import mwu_step
+from graph_oracle import profile_arcs
 
 # Conservation evidence recorded by criteria 7 and 9 for criterion 11.
 _recorded: dict[str, float] = {}
@@ -46,8 +47,8 @@ def _conservation_error(tr) -> float:
 
 def test_criterion_01_canonical_graphs(mp, rps):
     t0 = time.perf_counter()
-    mp_arcs = {(a.src, a.dst, a.weight) for a in build_graph(mp).arcs}
-    rps_arcs = {(a.src, a.dst, a.weight) for a in build_graph(rps).arcs}
+    mp_arcs = set(profile_arcs(build_graph(mp)))
+    rps_arcs = set(profile_arcs(build_graph(rps)))
     expected_mp = {
         ((0, 0), (0, 1), 2),
         ((0, 1), (1, 1), 2),
@@ -206,10 +207,10 @@ def test_criterion_10_mwu_flow_limit(mp):
     z = mixed([0.9, 0.1], [0.2, 0.8])
 
     def deviation(eta: float) -> float:
-        flow = integrate(mp, z, IntegratorConfig(step=eta / 100, horizon=eta)).final
+        flow = integrate(mp, z, IntegratorConfig(step=eta / 100, horizon=eta)).states
         step = mwu_step(mp, z, eta)
         raw = max(
-            np.abs(step.vectors[k] - flow.vectors[k]).max() for k in range(2)
+            np.abs(step.vectors[k] - flow[k][-1]).max() for k in range(2)
         )
         return raw / eta  # deviation per unit time shrinks linearly in eta
 

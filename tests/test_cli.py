@@ -92,6 +92,14 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(bad))
         assert code == 2 and "error:" in err
 
+    def test_deeply_nested_game_exits_2(self, capsys, tmp_path):
+        # json.loads gives up on such nesting with a RecursionError.
+        deep = tmp_path / "deep.json"
+        deep.write_text('{"mode": "non-symmetric", "matrix": ' + "[" * 10**5 + "]" * 10**5 + "}")
+        code, out, err = run_cli(capsys, "analyze", str(deep))
+        assert code == 2 and out == ""
+        assert err.startswith("error: invalid JSON") and err.count("\n") == 1
+
     def test_large_payoffs_keep_the_support(self, capsys, tmp_path):
         # The equilibrium tolerance is relative to the payoff scale: at 1e9 an
         # absolute one rejected every candidate and analyze crashed.
@@ -218,14 +226,13 @@ class TestAnalyze:
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0 and len(graphs) == 1 and len(condensed) == 1
         # pg.arc_count builds no arcs; only the DOT file reads them.
-        assert ("_full" in vars(graphs[0])) == dot
         assert ("arcs" in vars(graphs[0])) == dot
 
     @pytest.mark.parametrize(
-        "stem", ["diamond", "matching_pennies", "rock_paper_scissors", "tie_heavy"]
+        "stem", ["diamond", "matching_pennies", "rock_paper_scissors", "tie_heavy", "rational"]
     )
     def test_outputs_match_golden(self, capsys, games_dir, tmp_path, monkeypatch, stem):
-        game = GOLDEN / "tie_heavy.json" if stem == "tie_heavy" else games_dir / f"{stem}.json"
+        game = (GOLDEN if stem in ("tie_heavy", "rational") else games_dir) / f"{stem}.json"
         shutil.copy(game, tmp_path / f"{stem}.json")
         monkeypatch.chdir(tmp_path)
         code, out, _ = run_cli(

@@ -28,7 +28,7 @@ def first(g, z, H):
 
 def in_product(z, H) -> bool:
     """Whether the product of the per-player supports of z lies inside H."""
-    return set(itertools.product(*z.support())) <= set(H)
+    return set(itertools.product(*(np.flatnonzero(v).tolist() for v in z.vectors))) <= set(H)
 
 
 def brute_force_bicliques(H, n, m):

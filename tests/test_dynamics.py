@@ -175,7 +175,7 @@ class TestIntegration:
         z0 = mixed([0.9, 0.1], [0.2, 0.8])
         coarse = integrate(mp, z0, IntegratorConfig(step=0.05, horizon=5.0))
         fine = integrate(mp, z0, IntegratorConfig(step=0.0005, horizon=5.0))
-        assert np.abs(coarse.final.vectors[0] - fine.final.vectors[0]).max() < 1e-6
+        assert np.abs(coarse.states[0][-1] - fine.states[0][-1]).max() < 1e-6
 
     def test_log_and_direct_methods_agree(self, mp, rps, monkeypatch):
         cfg = IntegratorConfig(step=0.01, horizon=20.0)
@@ -184,8 +184,8 @@ class TestIntegration:
             with monkeypatch.context() as patch:
                 patch.setattr(zsflow.dynamics, "_flow", direct_flow)
                 b = integrate(g, z0, cfg)
-            for va, vb in zip(a.final.vectors, b.final.vectors):
-                assert np.abs(va - vb).max() < 1e-9
+            for sa, sb in zip(a.states, b.states):
+                assert np.abs(sa[-1] - sb[-1]).max() < 1e-9
 
     def test_simplex_is_preserved(self, diamond):
         rng = np.random.default_rng(3)
@@ -298,7 +298,7 @@ class TestLyapunov:
         cfg = IntegratorConfig(step=1e-4, horizon=2e-4)
         tr = integrate(diamond, z, cfg, H=H)
         fd = (tr.mass[2] - tr.mass[0]) / 2e-4
-        mid = lyapunov_rates(diamond, H, [tr.state(1)])[0]
+        mid = lyapunov_rates(diamond, H, [mixed(*(s[1] for s in tr.states))])[0]
         assert abs(fd - mid) < 1e-5
         assert abs(rate - mid) < 1e-3
 
@@ -315,7 +315,7 @@ class TestLyapunov:
         assert rate > 0.0
         tr = integrate(g, z, IntegratorConfig(step=1e-4, horizon=2e-4), H=H)
         fd = (tr.mass[2] - tr.mass[0]) / 2e-4
-        assert abs(fd - lyapunov_rates(g, H, [tr.state(1)])[0]) < 1e-5
+        assert abs(fd - lyapunov_rates(g, H, [mixed(tr.states[0][1])])[0]) < 1e-5
 
     def test_factored_rate_matches_dense_oracle(self):
         # Random masks, not only sinks: the factoring is an identity of the

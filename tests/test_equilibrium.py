@@ -21,6 +21,7 @@ from zsflow.game import SUPPORT_ATOL
 from zsflow.prefgraph import _connectivity
 from zsflow.sampling import game_corpus
 
+from graph_oracle import profile_arcs
 from nash_oracle import enumerate_equilibria as oracle_equilibria
 
 
@@ -262,7 +263,7 @@ class TestGraphCertification:
                 assert in_sink == (prods <= sink)
                 assert connected == _connectivity(pg, g.node_mask(prods))[0]
             ties = sum(
-                a.weight == 0 and a.src in prods and a.dst in prods for a in pg.arcs
+                a.weight == 0 and a.src in prods and a.dst in prods for a in profile_arcs(pg)
             )
             assert ess.zero_weight_arc_pairs * 2 == ties
 

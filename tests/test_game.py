@@ -296,8 +296,10 @@ class TestMixedProfiles:
 
     def test_support_and_product_support(self):
         z = mixed([0.5, 0.5, 0.0], [0.0, 1.0])
-        assert z.support() == ((0, 1), (1,))
-        assert set(itertools.product(*z.support())) == {(0, 1), (1, 1)}
+        # Coordinates off the support stay exact zeros.
+        support = [np.flatnonzero(v).tolist() for v in z.vectors]
+        assert support == [[0, 1], [1]]
+        assert set(itertools.product(*support)) == {(0, 1), (1, 1)}
 
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):

@@ -8,7 +8,6 @@ import pytest
 
 import zsflow.prefgraph
 from zsflow import (
-    Arc,
     Game,
     SccPartition,
     SinkUniquenessError,
@@ -23,7 +22,14 @@ from zsflow import (
 from zsflow.prefgraph import _chains, _connectivity
 from zsflow.sampling import game_corpus
 
-from graph_oracle import oracle_arcs, oracle_corpus, oracle_scc, weight
+from graph_oracle import (
+    oracle_arcs,
+    oracle_corpus,
+    oracle_dot,
+    oracle_scc,
+    profile_arcs,
+    weight,
+)
 
 
 def strongly_connected(g, pg, subset) -> bool:
@@ -68,29 +74,29 @@ class TestCanonicalGraphs:
     def test_matching_pennies_cycle(self, mp):
         pg = build_graph(mp)
         assert len(pg.nodes) == 4
-        arcs = {(a.src, a.dst) for a in pg.arcs}
+        arcs = {(a.src, a.dst) for a in profile_arcs(pg)}
         # (H,H) -> (H,T) -> (T,T) -> (T,H) -> (H,H)
         assert arcs == {((0, 0), (0, 1)), ((0, 1), (1, 1)), ((1, 1), (1, 0)), ((1, 0), (0, 0))}
-        assert all(a.weight == 2 for a in pg.arcs)
+        assert all(a.weight == 2 for a in profile_arcs(pg))
 
     def test_rps_cycle(self, rps):
         pg = build_graph(rps)
-        assert {(a.src, a.dst) for a in pg.arcs} == {(0, 1), (1, 2), (2, 0)}
-        assert all(a.weight == 1 for a in pg.arcs)
+        assert {(a.src, a.dst) for a in profile_arcs(pg)} == {(0, 1), (1, 2), (2, 0)}
+        assert all(a.weight == 1 for a in profile_arcs(pg))
 
     def test_single_profile_game(self):
         g = make_game([[7]], "non-symmetric")
         pg = build_graph(g)
         assert pg.nodes == ((0, 0),)
-        assert pg.arcs == ()
+        assert len(pg.arcs) == 0
         assert sink_component(pg) == {(0, 0)}
 
     def test_tie_produces_antiparallel_pair(self):
         g = make_game([[5, 5]], "non-symmetric")
         pg = build_graph(g)
         assert len(pg.arcs) == 2
-        assert {(a.src, a.dst) for a in pg.arcs} == {((0, 0), (0, 1)), ((0, 1), (0, 0))}
-        assert all(a.weight == 0 for a in pg.arcs)
+        assert {(a.src, a.dst) for a in profile_arcs(pg)} == {((0, 0), (0, 1)), ((0, 1), (0, 0))}
+        assert all(a.weight == 0 for a in profile_arcs(pg))
 
     def test_symmetric_tournament_arc_count(self):
         rng = np.random.default_rng(7)
@@ -98,7 +104,7 @@ class TestCanonicalGraphs:
             n = int(rng.integers(2, 8))
             g = random_game(rng, True, n)
             pg = build_graph(g)
-            ties = sum(1 for a in pg.arcs if a.weight == 0) // 2
+            ties = int(np.count_nonzero(pg.arcs["weight"] == 0)) // 2
             # one arc per unordered pair, two if tied
             assert len(pg.arcs) == n * (n - 1) // 2 + ties
             assert pg.arc_count == len(pg.arcs)
@@ -110,14 +116,14 @@ class TestCanonicalGraphs:
             m = int(rng.integers(1, 6))
             g = random_game(rng, False, n, m)
             pg = build_graph(g)
-            ties = sum(1 for a in pg.arcs if a.weight == 0) // 2
+            ties = int(np.count_nonzero(pg.arcs["weight"] == 0)) // 2
             slots = m * n * (n - 1) // 2 + n * m * (m - 1) // 2
             assert len(pg.arcs) == slots + ties
             assert pg.arc_count == len(pg.arcs)
 
     def test_arc_weights_match_weight_function(self, diamond):
         pg = build_graph(diamond)
-        for a in pg.arcs:
+        for a in profile_arcs(pg):
             w = weight(diamond, a.src, a.dst)
             assert w <= 0
             assert a.weight == -w
@@ -129,13 +135,13 @@ class TestCanonicalGraphs:
             scaled = make_game(
                 [[Fraction(7, 3) * v for v in row] for row in g.matrix], "non-symmetric"
             )
-            arcs = {(a.src, a.dst) for a in build_graph(g).arcs}
-            arcs2 = {(a.src, a.dst) for a in build_graph(scaled).arcs}
+            arcs = {(a.src, a.dst) for a in profile_arcs(build_graph(g))}
+            arcs2 = {(a.src, a.dst) for a in profile_arcs(build_graph(scaled))}
             assert arcs == arcs2
 
     def test_deterministic_rebuild(self, diamond):
         a, b = build_graph(diamond), build_graph(diamond)
-        assert (a.nodes, a.arcs) == (b.nodes, b.arcs)
+        assert a.nodes == b.nodes and a.arcs.tobytes() == b.arcs.tobytes()
 
     def test_graph_holds_only_its_game(self):
         for g in oracle_corpus(45, 40):
@@ -168,7 +174,7 @@ class TestCondensation:
         for g in game_corpus(rng, 100):
             pg = build_graph(g)
             part = scc(pg)
-            comps, sinks = brute_force_components(pg.nodes, pg.arcs)
+            comps, sinks = brute_force_components(pg.nodes, profile_arcs(pg))
             assert set(part.components) == set(comps)
             assert {part.components[k] for k in part.sinks} == set(sinks)
 
@@ -193,7 +199,9 @@ class TestAgainstOracle:
     def check(g):
         pg = build_graph(g)
         arcs = oracle_arcs(g)
-        assert pg.arcs == arcs  # order, direction and Fraction weight
+        assert profile_arcs(pg) == arcs  # order, direction and exact weight
+        assert pg.arcs["weight"].dtype == g.int_view.dtype
+        assert len(pg.arcs) == pg.arc_count and not pg.arcs.flags.writeable
         part = scc(pg)
         assert part == oracle_scc(pg.nodes, arcs)  # every SccPartition field
         # Components are strongly connected; two of them together never are.
@@ -206,18 +214,7 @@ class TestAgainstOracle:
             self.check(g)
 
     def test_huge_payoffs_take_the_object_path(self):
-        rng = np.random.default_rng(21)
-        primes = (1048573, 1048571, 1048559, 1048549, 1048517)
-        rational = make_game(
-            [
-                [Fraction(int(a), primes[(i + j) % 5]) for j, a in enumerate(row)]
-                for i, row in enumerate(rng.integers(-5, 6, size=(4, 5)))
-            ]
-        )
-        big = make_game([[int(v) * 2**70 for v in row] for row in rng.integers(-2, 3, size=(5, 4))])
-        K = rng.integers(-3, 4, size=(5, 5))
-        big_sym = make_game([[int(v) * 2**66 for v in row] for row in K - K.T], "symmetric")
-        for g in (rational, big, big_sym):
+        for g in huge_games():
             assert g.int_view.dtype == object
             assert max(abs(v) for v in g.int_view.ravel()) > 2**62
             self.check(g)
@@ -232,6 +229,23 @@ class TestAgainstOracle:
     def test_condensation_cached_on_the_graph(self, diamond):
         pg = build_graph(diamond)
         assert scc(pg) is scc(pg)
+
+
+def huge_games() -> list[Game]:
+    """Games stored as object dtype: a rational game over a product of large
+    primes, and games of either mode with payoffs of 2**66 and up."""
+    rng = np.random.default_rng(21)
+    primes = (1048573, 1048571, 1048559, 1048549, 1048517)
+    rational = make_game(
+        [
+            [Fraction(int(a), primes[(i + j) % 5]) for j, a in enumerate(row)]
+            for i, row in enumerate(rng.integers(-5, 6, size=(4, 5)))
+        ]
+    )
+    big = make_game([[int(v) * 2**70 for v in row] for row in rng.integers(-2, 3, size=(5, 4))])
+    K = rng.integers(-3, 4, size=(5, 5))
+    big_sym = make_game([[int(v) * 2**66 for v in row] for row in K - K.T], "symmetric")
+    return [rational, big, big_sym]
 
 
 class TestStrongConnectivity:
@@ -270,6 +284,13 @@ class TestDot:
     def test_symmetric_dot_plain_names(self, rps):
         dot = to_dot(build_graph(rps))
         assert '"R" -> "P" [label="1"];' in dot
+
+    def test_matches_oracle_dot(self):
+        # Object dtype included: labels are formatted from Python int weights.
+        for g in oracle_corpus(23, 80) + huge_games():
+            pg = build_graph(g)
+            sink = sink_component(pg)
+            assert to_dot(pg, highlight=sink) == oracle_dot(g, sink)
 
 
 def increasing_map(rng, g: Game) -> Game:
@@ -324,5 +345,5 @@ class TestOrdinal:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sink and "_full" not in vars(pg)
+        assert sink and "arcs" not in vars(pg)
         assert peak < 16 * 2**20  # the full arc arrays alone take about 100 MB

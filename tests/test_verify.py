@@ -14,6 +14,7 @@ from zsflow import (
     check_embedding,
     integrate_batch,
     lyapunov_rates,
+    mixed,
     random_game,
     random_mixed_profile,
     sink_component,
@@ -56,7 +57,7 @@ def per_point_lyapunov(count: int, seed: int, points_per_game: int = 50):
             continue
         runs = integrate_batch(g, points, cfg, H=sink)
         rates += lyapunov_rates(g, sink, points).tolist()
-        mids = lyapunov_rates(g, sink, [tr.state(1) for tr in runs]).tolist()
+        mids = lyapunov_rates(g, sink, [mixed(*(s[1] for s in tr.states)) for tr in runs]).tolist()
         for mid, tr in zip(mids, runs):
             fd = (float(tr.mass[2]) - float(tr.mass[0])) / (2 * LYAPUNOV_FD_DT)
             gaps.append(abs(mid - fd))
