@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -54,6 +55,21 @@ def _as_fraction(value: object, where: str) -> Fraction:
             f"{where}: floats are not accepted; write rationals as 'a/b' strings"
         )
     raise GameFormatError(f"{where}: unsupported payoff type {type(value).__name__}")
+
+
+def _ratio(value: object, k: int, m: int) -> tuple[int, int]:
+    """Numerator and positive denominator of entry k of an m-column matrix; only
+    what is not a plain 'a/b' or '-a/b' string goes through Fraction."""
+    num, slash, den = value.partition("/") if type(value) is str else ("", "", "")
+    if slash and num.removeprefix("-").isdecimal() and den.isdecimal():
+        try:
+            a, b = int(num), int(den)
+        except ValueError:  # past int's digit limit, which Fraction rejects too
+            b = 0
+        if b:
+            return a, b
+    f = _as_fraction(value, f"matrix[{k // m}][{k % m}]")
+    return f.numerator, f.denominator
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,7 +176,7 @@ class Game:
         """All pure profiles in row-major order."""
         if self.symmetric:
             return list(range(self.n))
-        return [(i, j) for i in range(self.n) for j in range(self.m)]
+        return list(product(range(self.n), range(self.m)))
 
     def profile_name(self, p: Profile) -> str:
         if self.symmetric:
@@ -215,9 +231,9 @@ def make_game(
     flat = [v for row in rows for v in row]
     scale = 1
     if not set(map(type, flat)) <= {int}:
-        fracs = [_as_fraction(v, f"matrix[{k // m}][{k % m}]") for k, v in enumerate(flat)]
-        scale = math.lcm(*(f.denominator for f in fracs))
-        flat = [f.numerator * (scale // f.denominator) for f in fracs]
+        nums, dens = zip(*(_ratio(v, k, m) for k, v in enumerate(flat)))
+        scale = math.lcm(*dens)  # Game reduces the unreduced plain fractions
+        flat = [a * (scale // b) for a, b in zip(nums, dens)]
     try:
         ints = np.array(flat, dtype=np.int64)
     except OverflowError:

@@ -1,4 +1,4 @@
-"""Preference graph of a zero-sum game and its condensation.
+"""Preference graph of a zero-sum game, its sink and its condensation.
 
 Nodes are pure profiles.  For every comparable pair {p, q} there is an arc
 p -> q exactly when weight(p, q) <= 0, i.e. the arc points at the profile the
@@ -6,12 +6,14 @@ deviating player weakly prefers; a tie yields the antiparallel pair of
 zero-weight arcs.  An arc's weight is |weight(p, q)|; all arcs are held in
 one array, with exact integer weights over the game's common denominator.
 
-Strong components need only one chain per line: a row's arcs follow the
-column player's weak order over it, a column's the row player's, and a chain
-in that order with back arcs between consecutive tied entries reaches the same
-nodes, on any node subset too.  Symmetric games (tournaments) keep their full
-arcs.  A graph is a view of its game: it holds the game only, and builds its
-nodes and arcs from it when they are first read.
+Reachability within a line is a threshold in its mover's order, so the sink
+comes from forward and backward closures over the payoffs' dense ranks, or a
+tournament's arc matrix, with no condensation.  The components, which only
+analyze reports, and subset connectivity need one chain per line: a chain in
+the mover's order with back arcs between consecutive tied entries reaches what
+the line's full arcs reach, on any node subset too; tournaments keep their full
+arcs.  A graph is a view of its game: it holds the game only, and builds the
+rest when first read.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import compress
 from typing import Iterable
 
 import numpy as np
@@ -27,7 +30,7 @@ from .game import Game, Profile
 
 
 class SinkUniquenessError(RuntimeError):
-    """The condensation has no unique sink component."""
+    """The preference graph has no unique sink component."""
 
     def __init__(self, message: str, components: list[frozenset]) -> None:
         super().__init__(message)
@@ -106,6 +109,29 @@ class PreferenceGraph:
     @cached_property
     def _partition(self) -> SccPartition:
         return _condense(self)
+
+    @cached_property
+    def _sink(self) -> np.ndarray:
+        # Forward-backward (Fleischer, Hendrickson & Pinar): F = fwd(v) is a sink
+        # once back(v) covers it, else restart in F - back(v), whose forward
+        # closures lack v.  The sink is unique when every node reaches it.
+        M, symmetric = self.game.int_view, self.game.symmetric
+        if symmetric:
+            A = M <= 0  # arc p -> q; the diagonal's loops reach nothing new
+            W = np.array([A, A.T])
+        else:
+            V = np.unique(M.ravel(), return_inverse=True)[1].reshape(M.shape)
+            W = np.array([V, -V])
+        F, B = _closures(W, 0, symmetric)
+        while (F & ~B).any():
+            F, B = _closures(W, int((F & ~B).argmax()), symmetric)
+        if not B.all():  # list the offending sinks from the condensation
+            part = scc(self)
+            raise SinkUniquenessError(
+                f"expected exactly one sink component, found {len(part.sinks)}",
+                [part.components[k] for k in part.sinks],
+            )
+        return F
 
 
 @dataclass(frozen=True)
@@ -208,16 +234,27 @@ def scc(pg: PreferenceGraph) -> SccPartition:
     return pg._partition
 
 
+def _closures(W: np.ndarray, v: int, symmetric: bool) -> np.ndarray:
+    """What node v reaches and what reaches v, as a (2, nodes) mask, under W:
+    a symmetric game's arc matrix over its transpose, else the dense payoff
+    ranks over their negation.  A row's mover reaches every rank up to the
+    row's highest reached one, then a column's every rank from its lowest up."""
+    X = np.zeros(W.shape[:2] if symmetric else W.shape, dtype=bool)
+    X.reshape(2, -1)[:, v] = True
+    while True:
+        if symmetric:
+            Y = X | (X[..., None] & W).any(1)
+        else:
+            Y = W <= np.where(X, W, -W[0].size).max(2)[..., None]
+            Y = W >= np.where(Y, W, W[0].size).min(1)[:, None]
+        if (X == Y).all():
+            return X.reshape(2, -1)
+        X = Y
+
+
 def sink_component(pg: PreferenceGraph) -> frozenset:
     """The unique sink component's node set; raises if the sink is not unique."""
-    part = scc(pg)
-    if len(part.sinks) != 1:
-        offenders = [part.components[k] for k in part.sinks]
-        raise SinkUniquenessError(
-            f"expected exactly one sink component, found {len(part.sinks)}",
-            offenders,
-        )
-    return part.components[part.sinks[0]]
+    return frozenset(compress(pg.nodes, pg._sink.tolist()))
 
 
 def _connectivity(pg: PreferenceGraph, inside: np.ndarray) -> tuple[bool, int]:

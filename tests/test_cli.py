@@ -13,7 +13,17 @@ import pytest
 import zsflow.cli
 import zsflow.equilibrium
 import zsflow.prefgraph
-from zsflow import Game, NoEquilibriumError, build_graph, parse_game
+from zsflow import (
+    Game,
+    NoEquilibriumError,
+    build_graph,
+    content_of,
+    load_game,
+    lyapunov_rates,
+    parse_game,
+    sink_component,
+    uniform_profile,
+)
 from zsflow.cli import main
 
 
@@ -227,6 +237,25 @@ class TestAnalyze:
         assert code == 0 and len(graphs) == 1 and len(condensed) == 1
         # pg.arc_count builds no arcs; only the DOT file reads them.
         assert ("arcs" in vars(graphs[0])) == dot
+
+    @pytest.mark.parametrize("stem", ["diamond", "rock_paper_scissors", "tie_heavy"])
+    def test_finds_the_sink_once_and_condenses_once(self, capsys, games_dir, monkeypatch, stem):
+        # analyze runs the closures of one sink search, whose cached sink the
+        # Nash verdicts reuse, and one condensation, for the components.
+        calls = {"_closures": 0, "_condense": 0}
+        for name in calls:
+            real = getattr(zsflow.prefgraph, name)
+
+            def counted(*args, real=real, name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(zsflow.prefgraph, name, counted)
+        game = GOLDEN / "tie_heavy.json" if stem == "tie_heavy" else games_dir / f"{stem}.json"
+        sink_component(build_graph(load_game(str(game))))
+        search = calls["_closures"]
+        code, _, _ = run_cli(capsys, "analyze", str(game), "--format", "json")
+        assert code == 0 and calls == {"_closures": 2 * search, "_condense": 1}
 
     @pytest.mark.parametrize(
         "stem", ["diamond", "matching_pennies", "rock_paper_scissors", "tie_heavy", "rational"]
@@ -566,6 +595,23 @@ class TestDeterminism:
                 )
                 outs.append(out)
             assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("stem", ["diamond", "rock_paper_scissors"])
+def test_sink_paths_never_condense(capsys, games_dir, tmp_path, monkeypatch, stem):
+    # Only analyze reports components; every other use of the sink finds it
+    # by closures, so a Tarjan call anywhere on these paths fails the test.
+    def refuse(*args):
+        raise AssertionError("the sink path condensed the graph")
+
+    monkeypatch.setattr(zsflow.prefgraph, "_strong_components", refuse)
+    game = str(games_dir / f"{stem}.json")
+    g = load_game(game)
+    sink = sink_component(build_graph(g))
+    assert content_of(sink, g).subgames
+    assert lyapunov_rates(g, sink, [uniform_profile(g)]).shape == (1,)
+    assert run_cli(capsys, "simulate", game, "--horizon", "1", "--out-dir", str(tmp_path))[0] == 0
+    assert run_cli(capsys, "verify", "--scope", "graph", "--count", "40", "--seed", "5")[0] == 0
 
 
 def test_builds_the_parser_once(capsys, games_dir):

@@ -100,6 +100,24 @@ class TestParsing:
         assert g.int_view.tolist() == [[3, -4], [18, 5]]
         assert g == make_game([["3/6", "-4/6"], ["18/6", "5/6"]])
 
+    def test_plain_fraction_strings_equal_fractions(self):
+        # Plain 'a/b' strings are split with int(), unreduced ones included.
+        rng = np.random.default_rng(12)
+        num, den = rng.integers(-60, 61, size=(6, 7)), rng.integers(1, 13, size=(6, 7))
+        strings = [[f"{a}/{b}" for a, b in zip(*r)] for r in zip(num.tolist(), den.tolist())]
+        fractions = [[Fraction(a, b) for a, b in zip(*r)] for r in zip(num.tolist(), den.tolist())]
+        assert make_game(strings) == make_game(fractions)
+        assert make_game([["-0/3", "٣/٤", 2]]) == make_game([[0, Fraction(3, 4), 2]])
+
+    @pytest.mark.parametrize(
+        "entry",
+        ["1/0", "-0/0", "1/ 2", "1/-2", "--1/2", "²/3", "9" * 5000 + "/7"],
+        ids=["zero", "zero-zero", "space", "minus-den", "two-minus", "superscript", "digit-limit"],
+    )
+    def test_malformed_fraction_strings_rejected(self, entry):
+        with pytest.raises(GameFormatError, match=r"^matrix\[1\]\[0\]: cannot parse rational"):
+            make_game([["1/2", 3], [entry, 4]])
+
     def test_fraction_rows_built_on_first_read(self):
         g = make_game([["1/2", 3], [-1, "1/3"]])
         assert "matrix" not in vars(g)

@@ -183,8 +183,11 @@ class TestCondensation:
         assert sink == frozenset((i, j) for i in range(3) for j in range(3)) - {(0, 0)}
 
     def test_multiple_sinks_rejected(self, mp, monkeypatch):
-        # No game has two sinks, so the condensation is patched to report two.
+        # No game has two sinks, so the closures are patched to find a sink
+        # that not every node reaches, and the condensation to report two.
         split = SccPartition((frozenset({(0, 0), (0, 1)}), frozenset({(1, 0), (1, 1)})), (0, 1), 0)
+        half = np.array([True, True, False, False])
+        monkeypatch.setattr(zsflow.prefgraph, "_closures", lambda W, v, symmetric: (half, half))
         monkeypatch.setattr(zsflow.prefgraph, "_condense", lambda pg: split)
         with pytest.raises(SinkUniquenessError) as err:
             sink_component(build_graph(mp))
@@ -246,6 +249,80 @@ def huge_games() -> list[Game]:
     K = rng.integers(-3, 4, size=(5, 5))
     big_sym = make_game([[int(v) * 2**66 for v in row] for row in K - K.T], "symmetric")
     return [rational, big, big_sym]
+
+
+def planted_games(seed: int, count: int, largest: int = 100) -> list[Game]:
+    """Games of either mode whose sink lies inside a random planted node set.
+
+    A non-symmetric game plants a block R x C: outside rows pay less than any
+    entry in the block columns, and outside columns more than any entry in the
+    block rows, so no arc leaves the block.  A symmetric game plants a
+    strategy set S whose members beat every other strategy.  Payoffs are tie
+    heavy, so the sink is often a proper part of the planted set.
+    """
+    rng = np.random.default_rng(seed)
+    games = []
+    for k in range(count):
+        n, m = (int(v) for v in rng.integers(2, largest + 1, size=2))
+        if k % 2:
+            K = rng.integers(-3, 4, size=(n, n))
+            M = np.triu(K, 1) - np.triu(K, 1).T
+            S = rng.random(n) < rng.uniform(0.1, 0.6)
+            S[rng.integers(n)] = True
+            M[np.ix_(S, ~S)] = rng.integers(1, 4, size=(S.sum(), n - S.sum()))
+            M[np.ix_(~S, S)] = -M[np.ix_(S, ~S)].T
+            games.append(make_game(M.tolist(), "symmetric"))
+        else:
+            M = rng.integers(-3, 4, size=(n, m))
+            R, C = rng.random(n) < rng.uniform(0.1, 0.6), rng.random(m) < rng.uniform(0.1, 0.6)
+            R[rng.integers(n)] = C[rng.integers(m)] = True
+            M[np.ix_(~R, C)] = -10 - rng.integers(0, 3, size=(n - R.sum(), C.sum()))
+            M[np.ix_(R, ~C)] = 10 + rng.integers(0, 3, size=(R.sum(), m - C.sum()))
+            games.append(make_game(M.tolist()))
+    return games
+
+
+def tie_heavy_games(seed: int, count: int) -> list[Game]:
+    """Games of either mode, 2-8 strategies a side, with payoffs in [-2, 2]."""
+    rng = np.random.default_rng(seed)
+    return [
+        random_game(rng, bool(k % 2), *(int(v) for v in rng.integers(2, 9, size=2)), -2, 2)
+        for k in range(count)
+    ]
+
+
+class TestSinkClosures:
+    """The sink from forward-backward threshold closures against the sink of
+    the condensation."""
+
+    CORPORA = {
+        "generic": lambda: game_corpus(np.random.default_rng(50), 400, 8, 8, 12),
+        "tie_heavy": lambda: tie_heavy_games(51, 400),
+        "symmetric": lambda: [random_game(np.random.default_rng(n), True, n) for n in range(2, 60)],
+        "object_dtype": huge_games,
+        "planted": lambda: planted_games(53, 40),
+    }
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_matches_the_condensation(self, corpus):
+        for g in self.CORPORA[corpus]():
+            pg = build_graph(g)
+            sink = sink_component(pg)
+            assert "_partition" not in vars(pg)  # found without condensing
+            part = scc(pg)
+            assert part.sinks == (part.components.index(sink),)
+
+    def test_planted_sinks_are_proper(self):
+        # The planted corpus must test proper sinks, not whole strategy spaces.
+        games = planted_games(53, 40)
+        proper = [len(sink_component(build_graph(g))) < len(g.profiles()) for g in games]
+        assert sum(proper) >= 30
+
+    def test_sink_cached_on_the_graph(self, diamond, monkeypatch):
+        pg = build_graph(diamond)
+        sink = sink_component(pg)
+        monkeypatch.setattr(zsflow.prefgraph, "_closures", None)
+        assert sink_component(pg) == sink
 
 
 class TestStrongConnectivity:
@@ -319,6 +396,12 @@ class TestOrdinal:
             assert a.components == b.components and a.sinks == b.sinks
             sink = a.components[a.sinks[0]]
             assert content_of(sink, g) == content_of(sink, h)
+
+    def test_sink_invariant_under_increasing_payoff_maps(self):
+        rng = np.random.default_rng(46)
+        for g in oracle_corpus(47, 160) + planted_games(48, 10, 40):
+            h = increasing_map(rng, g)
+            assert sink_component(build_graph(g)) == sink_component(build_graph(h))
 
     def test_subset_connectivity_matches_oracle(self):
         rng = np.random.default_rng(42)
