@@ -7,11 +7,14 @@ a single block for a symmetric game.  Player payoffs are z K^T, and the
 replicator field multiplies them, minus each block's average, by z.
 
 The integrator advances u = log z with classic RK4 and recovers z by a
-softmax within each block.  Coordinates outside the support are u = log 0 =
--inf, which the update keeps exactly, so faces of the simplex are invariant and
-starts with different supports batch together.  A direct RK4 on the simplex
-with per-step renormalisation checks it from the tests (tests/dynamics_oracle.py),
-as does a multiplicative-weights step, whose small-step limit is the flow.
+softmax within each block.  A stage reads its payoffs and their normalisers
+off one product exp(u - block max) @ [K^T | X], where X sums the block that
+scales each payoff; the state's block sums are one product with the
+block-ones matrix J.  Off-support coordinates are u = log 0 = -inf, which the
+update keeps exactly, so faces of the simplex are invariant and starts with
+different supports batch together.  The same RK4 with per-block reductions,
+a direct RK4 on the simplex and a multiplicative-weights step, whose small-step
+limit is the flow, check it from the tests (tests/dynamics_oracle.py).
 
 The sink-mass growth rate is evaluated in O(nm) per point, without the
 (nm) x (nm) symmetrised matrix; only the embedding check, whose claim is the
@@ -89,6 +92,8 @@ class _Operator(NamedTuple):
     KT: np.ndarray  # K^T, so that payoffs of a (B, N) state Z are Z @ KT
     starts: np.ndarray  # first coordinate of each player block
     block: np.ndarray  # block index of each coordinate
+    J: np.ndarray  # J[i, j] = 1 when i and j share a block: Z @ J sums each block
+    KX: np.ndarray  # [K^T | X]: X sums the block that scales each payoff
 
 
 def _operator(g: Game) -> _Operator:
@@ -98,27 +103,24 @@ def _operator(g: Game) -> _Operator:
     else:
         K = np.block([[np.zeros((g.n, g.n)), M], [-M.T, np.zeros((g.m, g.m))]])
         starts = [0, g.n]
-    sizes = np.diff(starts + [K.shape[0]])
-    return _Operator(K.T, np.array(starts), np.repeat(np.arange(len(starts)), sizes))
+    block = np.repeat(np.arange(len(starts)), np.diff(starts + [K.shape[0]]))
+    J = (block[:, None] == block).astype(float)
+    X = J if g.symmetric else 1.0 - J
+    return _Operator(K.T, np.array(starts), block, J, np.hstack([K.T, X]))
 
 
 def _stack(zs: Sequence[MixedProfile]) -> np.ndarray:
     return np.stack([np.concatenate(z.vectors) for z in zs])
 
 
-def _per_block(op: _Operator, reduce: np.ufunc, A: np.ndarray) -> np.ndarray:
-    """Reduce each row of A within every player block, broadcast back to A's shape."""
-    return reduce.reduceat(A, op.starts, axis=1)[:, op.block]
-
-
-def _softmax(op: _Operator, U: np.ndarray) -> np.ndarray:
-    W = np.exp(U - _per_block(op, np.maximum, U))
-    return W / _per_block(op, np.add, W)
+def _shifted(op: _Operator, U: np.ndarray) -> np.ndarray:
+    """U minus its maximum within each player block, so that exp(U) cannot overflow."""
+    return U - np.maximum.reduceat(U, op.starts, axis=1).take(op.block, axis=1)
 
 
 def _field(op: _Operator, Z: np.ndarray) -> np.ndarray:
     P = Z @ op.KT
-    return Z * (P - _per_block(op, np.add, Z * P))
+    return Z * (P - (Z * P) @ op.J)
 
 
 def _profile_masses(g: Game, Z: np.ndarray) -> np.ndarray:
@@ -139,24 +141,32 @@ def _mass_series(g: Game, full: np.ndarray, inside: np.ndarray) -> np.ndarray:
 def _flow(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
     """Samples (steps + 1, B, n+m) of the flow from the stacked starts Z0."""
     nsteps, h = cfg.steps, cfg.step
+    N = Z0.shape[1]
     on = Z0 > 0
     out = np.empty((nsteps + 1,) + Z0.shape)
     out[0] = Z0  # keep the exact start
+
+    def stage(V: np.ndarray) -> np.ndarray:
+        R = np.exp(_shifted(op, V)) @ op.KX
+        return R[:, :N] / R[:, N:]
+
     # log 0 = -inf is expected; an overflow or NaN fails the finite check below.
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        U = np.log(Z0)
-        Z = _softmax(op, U)
+        U = _shifted(op, np.log(Z0))
+        W = np.exp(U)
+        Z = W / (W @ op.J)
         for k in range(nsteps):
             K1 = Z @ op.KT
-            K2 = _softmax(op, U + 0.5 * h * K1) @ op.KT
-            K3 = _softmax(op, U + 0.5 * h * K2) @ op.KT
-            K4 = _softmax(op, U + h * K3) @ op.KT
-            U = U + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-            # Softmax is shift invariant within a block.
-            U -= _per_block(op, np.maximum, U)
-            if not np.all(np.where(on, np.isfinite(U), U == -np.inf)):
+            K2 = stage(U + 0.5 * h * K1)
+            K3 = stage(U + 0.5 * h * K2)
+            K4 = stage(U + h * K3)
+            U = _shifted(op, U + (h / 6.0) * (K1 + 2 * (K2 + K3) + K4))
+            # On coordinates must be finite and off ones -inf; after the shift
+            # a +inf can only show as NaN.
+            if ((U > -np.inf) != on).any():
                 raise IntegrationError(f"non-finite state at step {k + 1} (t = {(k + 1) * h:g})")
-            Z = out[k + 1] = _softmax(op, U)
+            W = np.exp(U)
+            Z = out[k + 1] = W / (W @ op.J)
     return out
 
 

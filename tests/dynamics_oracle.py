@@ -1,5 +1,11 @@
-"""References for the replicator flow: direct RK4 on the simplex, one
-multiplicative-weights step, and the dense sink-mass rate.
+"""References for the replicator flow: the per-block log-coordinate RK4,
+direct RK4 on the simplex, one multiplicative-weights step, and the dense
+sink-mass rate.
+
+``log_rk4_flow`` is the log-coordinate RK4 written with one per-block
+reduction per sum and one softmax per stage.  ``zsflow.dynamics._flow`` runs
+the same arithmetic with the block sums and each stage's normaliser taken
+from matrix products, so the two agree to rounding.
 
 ``direct_flow`` advances the stacked state z itself with classic RK4 on the
 replicator field, clips the tiny negatives the step can leave and
@@ -9,8 +15,9 @@ zero because the field vanishes there, where the library keeps them at
 log 0 = -inf, so agreement with ``zsflow.dynamics._flow`` checks the
 log-coordinate update and its softmax against a different formula.
 
-``direct_flow`` has the signature of ``_flow``; tests swap it in with
-monkeypatch so that ``integrate`` and ``integrate_batch`` run on it.
+``log_rk4_flow`` and ``direct_flow`` have the signature of ``_flow``; tests
+swap them in with monkeypatch so that ``integrate`` and ``integrate_batch``
+run on them.
 
 ``mwu_step`` is x'_s proportional to x_s e^(eta u_s); as eta -> 0 its
 displacement per unit eta tends to the replicator field.  ``dense_sink_rates``
@@ -23,17 +30,43 @@ from __future__ import annotations
 import numpy as np
 
 from zsflow import Game, IntegrationError, IntegratorConfig, MixedProfile
-from zsflow.dynamics import (
-    _field,
-    _operator,
-    _Operator,
-    _per_block,
-    _profile_masses,
-    _softmax,
-    _stack,
-)
+from zsflow.dynamics import _field, _operator, _Operator, _profile_masses, _stack
 from zsflow.game import _check_shape
 from zsflow.symmetrise import sym_float_matrix
+
+
+def _per_block(op: _Operator, reduce: np.ufunc, A: np.ndarray) -> np.ndarray:
+    """Reduce each row of A within every player block, broadcast back to A's shape."""
+    return reduce.reduceat(A, op.starts, axis=1)[:, op.block]
+
+
+def _softmax(op: _Operator, U: np.ndarray) -> np.ndarray:
+    W = np.exp(U - _per_block(op, np.maximum, U))
+    return W / _per_block(op, np.add, W)
+
+
+def log_rk4_flow(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
+    """Samples (steps + 1, B, n+m) of the flow from the stacked starts Z0."""
+    nsteps, h = cfg.steps, cfg.step
+    on = Z0 > 0
+    out = np.empty((nsteps + 1,) + Z0.shape)
+    out[0] = Z0  # keep the exact start
+    # log 0 = -inf is expected; an overflow or NaN fails the finite check below.
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        U = np.log(Z0)
+        Z = _softmax(op, U)
+        for k in range(nsteps):
+            K1 = Z @ op.KT
+            K2 = _softmax(op, U + 0.5 * h * K1) @ op.KT
+            K3 = _softmax(op, U + 0.5 * h * K2) @ op.KT
+            K4 = _softmax(op, U + h * K3) @ op.KT
+            U = U + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
+            # Softmax is shift invariant within a block.
+            U -= _per_block(op, np.maximum, U)
+            if not np.all(np.where(on, np.isfinite(U), U == -np.inf)):
+                raise IntegrationError(f"non-finite state at step {k + 1} (t = {(k + 1) * h:g})")
+            Z = out[k + 1] = _softmax(op, U)
+    return out
 
 
 def direct_flow(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:

@@ -8,9 +8,11 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zsflow.cli
+import zsflow.dynamics
 import zsflow.equilibrium
 import zsflow.prefgraph
 from zsflow import (
@@ -25,6 +27,8 @@ from zsflow import (
     uniform_profile,
 )
 from zsflow.cli import main
+
+from dynamics_oracle import log_rk4_flow
 
 
 # analyze outputs recorded with the Fraction per-pair graph builder, the
@@ -460,6 +464,30 @@ class TestSimulate:
             )
         assert code == 3 and out == ""
         assert err == "integration failed: non-finite state at step 1 (t = 0.1)\n"
+
+    @pytest.mark.parametrize("scale", [10**4, 10**5])
+    def test_large_payoffs_integrate_like_the_reference(self, capsys, tmp_path, monkeypatch, scale):
+        # Unshifted, a stage's exp overflows once step * max|M| passes about
+        # 700; each stage shifts by the block maximum, so these runs finish
+        # with the result of the per-block reference loop.
+        game = tmp_path / "mp.json"
+        game.write_text(json.dumps({"mode": "non-symmetric", "matrix": [[scale, -scale], [-scale, scale]]}))
+        runs = []
+        for flow in (zsflow.dynamics._flow, log_rk4_flow):
+            monkeypatch.setattr(zsflow.dynamics, "_flow", flow)
+            csv = tmp_path / f"{flow.__name__}.csv"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, _ = run_cli(
+                    capsys, "simulate", str(game), "--step", "0.1", "--horizon", "200",
+                    "--start", "0.8,0.2;0.3,0.7", "--csv", str(csv), "--format", "json",
+                )
+            assert code == 0
+            runs.append((json.loads(out)["result"], np.loadtxt(csv, delimiter=",", skiprows=1)))
+        (got, got_rows), (want, want_rows) = runs
+        assert got_rows.shape == (2001, 8) and np.isfinite(got_rows).all()
+        assert np.abs(got_rows - want_rows).max() <= 1e-12
+        assert got["final_payoff"] == want["final_payoff"] == scale
 
     def test_has_no_method_option(self, capsys, games_dir):
         with pytest.raises(SystemExit) as exc:

@@ -26,10 +26,10 @@ from zsflow import (
     write_trajectory_csv,
     write_trajectory_svg,
 )
-from zsflow.dynamics import _field, _operator, _sink_rates, _stack
+from zsflow.dynamics import _field, _flow, _operator, _sink_rates, _stack
 from zsflow.sampling import game_corpus, random_game, random_interior_stack, random_mixed_profile
 
-from dynamics_oracle import dense_sink_rates, direct_flow, mwu_step
+from dynamics_oracle import dense_sink_rates, direct_flow, log_rk4_flow, mwu_step
 from face_sampling import random_face_profile
 
 
@@ -251,6 +251,31 @@ class TestIntegration:
                 assert np.abs(states - one).max() < 1e-12
                 assert np.all(states[:, v0 == 0] == 0.0)
             assert np.abs(tr.mass - single.mass).max() < 1e-12
+
+
+class TestPerBlockReference:
+    """The flow's matrix-product stages against the same RK4 written with
+    per-block reductions and a softmax per stage (log_rk4_flow)."""
+
+    @pytest.mark.parametrize("kind", ["generic", "tie-heavy", "symmetric"])
+    def test_matches_reference(self, kind):
+        rng = np.random.default_rng(19)
+        cfg = IntegratorConfig(step=0.01, horizon=10.0)
+        for n in (2, 3, 5):
+            if kind == "symmetric":
+                g = random_game(rng, True, n + 1)
+            else:
+                low, high = (-9, 9) if kind == "generic" else (-2, 2)
+                g = random_game(rng, False, n, int(rng.integers(2, 6)), low, high)
+            # One batch of interior and face starts, so supports are mixed.
+            faces = _stack([random_face_profile(rng, g) for _ in range(4)])
+            Z0 = np.vstack([random_interior_stack(rng, g, 2), faces])
+            assert len({tuple(row) for row in Z0 > 0}) > 1
+            op = _operator(g)
+            got, want = _flow(op, Z0, cfg), log_rk4_flow(op, Z0, cfg)
+            assert np.array_equal(got == 0, want == 0)
+            assert np.all((got == 0) == (Z0 == 0))
+            assert np.abs(got - want).max() <= 1e-12
 
 
 class TestLyapunov:
