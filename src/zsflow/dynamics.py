@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .game import Game, MixedProfile, Profile, _check_shape
-from .prefgraph import build_graph, sink_component
+from .prefgraph import build_graph
 from .symmetrise import sym_float_matrix
 
 
@@ -72,8 +72,8 @@ class Trajectory:
     """Sampled solution of the replicator flow.
 
     states holds one (samples, strategies) array per player; row k is the
-    state at times[k].  mass and dist, the masses on and off a node set H,
-    are present when H was supplied to the integrator.
+    state at times[k].  mass and dist, the shares of the mass on and off a
+    node set H, are present when H was supplied to the integrator.
     """
 
     times: np.ndarray
@@ -130,12 +130,16 @@ def _profile_masses(g: Game, Z: np.ndarray) -> np.ndarray:
     return (Z[:, : g.n, None] * Z[:, None, g.n :]).reshape(len(Z), g.n * g.m)
 
 
-def _mass_series(g: Game, full: np.ndarray, inside: np.ndarray) -> np.ndarray:
-    """Mass on the profiles of the mask inside, per sample and start."""
+def _mass_shares(g: Game, full: np.ndarray, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Shares of the mass on and off the profiles of the mask inside, per
+    sample and start: each part over their sum, so that both lie in [0, 1]."""
     if g.symmetric:
-        return full[..., inside].sum(axis=-1)
-    B = inside.reshape(g.n, g.m).astype(float)
-    return np.einsum("tbi,ij,tbj->tb", full[..., : g.n], B, full[..., g.n :])
+        on, off = full[..., inside].sum(axis=-1), full[..., ~inside].sum(axis=-1)
+    else:
+        B = inside.reshape(g.n, g.m).astype(float)
+        x, y = full[..., : g.n], full[..., g.n :]
+        on, off = (((x @ P) * y).sum(axis=-1) for P in (B, 1.0 - B))
+    return on / (on + off), off / (on + off)
 
 
 def _flow(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
@@ -203,10 +207,7 @@ def integrate_batch(
     times = np.arange(cfg.steps + 1) * cfg.step
     # x M y over the first and last blocks; both are x for a symmetric game.
     payoff = np.einsum("tbi,ij,tbj->tb", full[..., : g.n], g.float_view, full[..., -g.m :])
-    mass = dist = None
-    if inside is not None:
-        mass = _mass_series(g, full, inside)
-        dist = _mass_series(g, full, ~inside)
+    mass, dist = (None, None) if inside is None else _mass_shares(g, full, inside)
 
     return [
         Trajectory(
@@ -229,9 +230,8 @@ def lyapunov_rates(g: Game, H: Iterable[Profile], zs: Sequence[MixedProfile]) ->
     """
     for z in zs:
         _check_shape(g, z)
-    H = tuple(H)  # validated as given: a set would merge True into 1
     inside = g.node_mask(H)
-    if frozenset(H) != sink_component(build_graph(g)):
+    if not np.array_equal(inside, build_graph(g)._sink):
         raise ValueError("lyapunov_rates requires the certified sink component of the game")
     return _sink_rates(g, inside, _stack(zs)) if len(zs) else np.zeros(0)
 

@@ -28,7 +28,7 @@ from itertools import combinations
 import numpy as np
 
 from .game import Game, MixedProfile, SUPPORT_ATOL, report_sets
-from .prefgraph import PreferenceGraph, _connectivity, build_graph, sink_component
+from .prefgraph import PreferenceGraph, _connectivity, build_graph
 
 # Best-response slack accepted when validating a candidate equilibrium, per
 # unit of the largest payoff magnitude (at least 1).
@@ -202,17 +202,16 @@ def solve_nash(g: Game, pg: PreferenceGraph | None = None) -> NashCertificate:
         sets, ess_sets = (SX[j], SY[j]), (SX.any(axis=0), SY.any(axis=0))
     # Node masks of the products of the per-block strategy masks, row-major.
     chosen, essential = (reduce(np.logical_and.outer, s).ravel() for s in (sets, ess_sets))
-    sink = g.node_mask(sink_component(pg))
     connected, ties = _connectivity(pg, essential)
     return NashCertificate(
         equilibrium=z,
         game_value=value,
         support=tuple(map(_indices, sets)),
-        in_sink=bool(np.all(chosen <= sink)),
+        in_sink=bool(np.all(chosen <= pg._sink)),
         support_strongly_connected=_connectivity(pg, chosen)[0],
         essential=PreferenceNashReport(
             subgame=tuple(map(_indices, ess_sets)),
-            in_sink=bool(np.all(essential <= sink)),
+            in_sink=bool(np.all(essential <= pg._sink)),
             strongly_connected=connected,
             zero_weight_arc_pairs=ties,
         ),

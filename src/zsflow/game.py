@@ -9,7 +9,8 @@ comparison.  Fractions appear only at the file boundary.
 
 Profiles are strategy indices: a pair ``(i, j)`` in the non-symmetric case, a
 single ``int`` in the symmetric case.  Game owns the row-major profile order,
-the one validating profile-set-to-mask map (node_mask) and the player blocks.
+the one validating profile-set-to-mask map (node_mask) and its inverse
+(profiles), and the player blocks.
 The modes differ only in the maths: the preference graph, the flow operator,
 the sink mass and its rate, and the value and essential set.
 """
@@ -172,11 +173,18 @@ class Game:
     def mode(self) -> str:
         return "symmetric" if self.symmetric else "non-symmetric"
 
-    def profiles(self) -> list[Profile]:
-        """All pure profiles in row-major order."""
+    def profiles(self, mask: np.ndarray | None = None) -> list[Profile]:
+        """All pure profiles in row-major order, or those at the True entries of
+        a boolean mask over all of them: the inverse of node_mask."""
+        n, m = self.n, self.m
+        if mask is not None and np.shape(mask) != (n if self.symmetric else n * m,):
+            raise ValueError("mask does not match the profiles of this game")
+        if mask is None or mask.all():  # product's pairs share one int object per index
+            return list(range(n)) if self.symmetric else list(product(range(n), range(m)))
+        index = np.flatnonzero(mask)
         if self.symmetric:
-            return list(range(self.n))
-        return list(product(range(self.n), range(self.m)))
+            return index.tolist()
+        return list(zip((index // m).tolist(), (index % m).tolist()))
 
     def profile_name(self, p: Profile) -> str:
         if self.symmetric:

@@ -11,9 +11,9 @@ comes from forward and backward closures over the payoffs' dense ranks, or a
 tournament's arc matrix, with no condensation.  The components, which only
 analyze reports, and subset connectivity need one chain per line: a chain in
 the mover's order with back arcs between consecutive tied entries reaches what
-the line's full arcs reach, on any node subset too; tournaments keep their full
-arcs.  A graph is a view of its game: it holds the game only, and builds the
-rest when first read.
+the line's full arcs reach, on any node subset too; a tournament condenses over
+its arc matrix.  The full arc array is built only for output.  A graph is a
+view of its game: it holds the game only, and builds the rest when first read.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import compress
 from typing import Iterable
 
 import numpy as np
@@ -153,8 +152,9 @@ def build_graph(g: Game) -> PreferenceGraph:
 def _chains(pg: PreferenceGraph, inside: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
     """Arcs among the masked nodes that reach what their full arcs reach, and their tied pairs."""
     if pg.game.symmetric:
-        arcs = pg.arcs[inside[pg.arcs["src"]] & inside[pg.arcs["dst"]]]
-        return arcs["src"], arcs["dst"], int(np.count_nonzero(arcs["weight"] == 0)) // 2
+        # The arc matrix, whose diagonal loops are harmless but count as ties.
+        A = (pg.game.int_view <= 0) & inside & inside[:, None]
+        return *np.nonzero(A), (int(np.count_nonzero(A & A.T)) - int(inside.sum())) // 2
     keep = inside[pg._lines[0]]
     seq, line, run = (a[keep] for a in pg._lines)
     step, tie = line[1:] == line[:-1], run[1:] == run[:-1]
@@ -254,7 +254,7 @@ def _closures(W: np.ndarray, v: int, symmetric: bool) -> np.ndarray:
 
 def sink_component(pg: PreferenceGraph) -> frozenset:
     """The unique sink component's node set; raises if the sink is not unique."""
-    return frozenset(compress(pg.nodes, pg._sink.tolist()))
+    return frozenset(pg.game.profiles(pg._sink))
 
 
 def _connectivity(pg: PreferenceGraph, inside: np.ndarray) -> tuple[bool, int]:

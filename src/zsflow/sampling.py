@@ -42,21 +42,15 @@ def random_mixed_profile(rng: np.random.Generator, g: Game) -> MixedProfile:
     return mixed(*np.split(z, np.cumsum([len(b) for b in g.blocks])[:-1]))
 
 
-def game_corpus(
-    rng: np.random.Generator,
-    count: int,
-    max_rows: int = 5,
-    max_cols: int = 5,
-    max_symmetric: int = 7,
-) -> list[Game]:
-    """Mixed fuzz corpus: alternating non-symmetric and symmetric games."""
+def game_corpus(rng: np.random.Generator, count: int) -> list[Game]:
+    """Mixed fuzz corpus: alternating non-symmetric 1-5 x 1-5 and symmetric 2-7 games."""
     games = []
     for k in range(count):
         if k % 2 == 0:
-            n = int(rng.integers(1, max_rows + 1))
-            m = int(rng.integers(1, max_cols + 1))
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 6))
             games.append(random_game(rng, False, n, m))
         else:
-            n = int(rng.integers(2, max_symmetric + 1))
+            n = int(rng.integers(2, 8))
             games.append(random_game(rng, True, n))
     return games

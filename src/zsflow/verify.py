@@ -14,14 +14,14 @@ from .dynamics import (
     IntegratorConfig,
     _embedding_residuals,
     _flow,
-    _mass_series,
+    _mass_shares,
     _operator,
     _profile_masses,
     _sink_rates,
 )
 from .equilibrium import solve_nash
 from .game import Game, game_to_dict
-from .prefgraph import SinkUniquenessError, build_graph, sink_component
+from .prefgraph import SinkUniquenessError, build_graph
 from .sampling import game_corpus, random_game, random_interior_stack
 from .symmetrise import _pair_differences, _weight_identity
 
@@ -64,11 +64,11 @@ def verify_graph(count: int, seed: int) -> dict:
     for g in game_corpus(rng, count):
         report["checked"] += 1
         try:
-            sink = sink_component(build_graph(g))
+            sink = build_graph(g)._sink
         except SinkUniquenessError as exc:
             _fail(report, g, f"sink not unique: {exc}")
             break
-        if not sink:
+        if not sink.any():
             _fail(report, g, "empty sink component")
             break
     return report
@@ -158,17 +158,15 @@ def verify_lyapunov(count: int, seed: int, points_per_game: int = 50) -> dict:
     min_rate, max_gap = math.inf, 0.0
     for g in game_corpus(rng, count):
         report["checked"] += 1
-        pg = build_graph(g)
-        sink = sink_component(pg)
-        if len(sink) == len(pg.nodes):
+        inside = build_graph(g)._sink
+        if inside.all():
             continue
         proper += 1
-        inside = g.node_mask(sink)
         Z = _proper_sink_points(rng, g, inside, points_per_game)
         if not len(Z):
             continue
         full = _flow(_operator(g), Z, cfg)  # samples at 0, dt and 2 dt
-        mass = _mass_series(g, full, inside)
+        mass = _mass_shares(g, full, inside)[0]
         fd = (mass[2] - mass[0]) / (2 * LYAPUNOV_FD_DT)
         rates = _sink_rates(g, inside, Z)
         mids = _sink_rates(g, inside, full[1])

@@ -219,6 +219,20 @@ def oracle_maximal_subgames(H: Iterable[Profile], g: Game):
     return out
 
 
+def sized_corpus(rng, count: int, rows: int, cols: int, symmetric: int) -> list[Game]:
+    """zsflow.sampling.game_corpus with its sizes as arguments: the same draws,
+    alternating non-symmetric 1-rows x 1-cols and symmetric 2-symmetric games.
+    At sizes 5, 5 and 7 it is game_corpus."""
+    games = []
+    for k in range(count):
+        if k % 2 == 0:
+            n, m = int(rng.integers(1, rows + 1)), int(rng.integers(1, cols + 1))
+            games.append(random_game(rng, False, n, m))
+        else:
+            games.append(random_game(rng, True, int(rng.integers(2, symmetric + 1))))
+    return games
+
+
 def oracle_corpus(seed: int, count: int) -> list[Game]:
     """Seeded games in four kinds, taken in turn: generic, tie-heavy (payoffs
     in [-2, 2], either mode), symmetric and rational-payoff."""

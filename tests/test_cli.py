@@ -175,8 +175,9 @@ class TestAnalyze:
     def test_graph_passes(self, capsys, games_dir, monkeypatch, stem):
         # One chain pass for the condensation, which also counts the ties,
         # one masked pass each for the chosen and the essential support, and
-        # two node masks of the sink: the content's, which validates it, and
-        # the Nash verdicts'; the supports' masks come from the arrays.
+        # one node mask, the content's, which validates the sink it is given;
+        # the Nash verdicts read the graph's cached sink mask, and the
+        # supports' masks come from the arrays.
         calls = {"_chains": 0, "node_mask": 0}
         for owner, name in ((zsflow.prefgraph, "_chains"), (Game, "node_mask")):
             real = getattr(owner, name)
@@ -190,7 +191,7 @@ class TestAnalyze:
                     monkeypatch.setattr(module, name, counted)
         game = GOLDEN / "tie_heavy.json" if stem == "tie_heavy" else games_dir / f"{stem}.json"
         code, _, _ = run_cli(capsys, "analyze", str(game), "--format", "json")
-        assert code == 0 and calls == {"_chains": 3, "node_mask": 2}
+        assert code == 0 and calls == {"_chains": 3, "node_mask": 1}
 
     @pytest.mark.parametrize(
         "stem", ["diamond", "matching_pennies", "rock_paper_scissors", "tie_heavy"]
@@ -217,9 +218,10 @@ class TestAnalyze:
         assert code == 2 and out == ""
         assert err == f"error: {key} must be a list of strings\n"
 
+    @pytest.mark.parametrize("stem", ["diamond", "rock_paper_scissors", "tie_heavy"])
     @pytest.mark.parametrize("dot", [False, True])
     def test_condenses_once_and_builds_arcs_only_for_dot(
-        self, capsys, games_dir, tmp_path, monkeypatch, dot
+        self, capsys, games_dir, tmp_path, monkeypatch, dot, stem
     ):
         graphs, condensed = [], []
         condense = zsflow.prefgraph._condense
@@ -234,12 +236,14 @@ class TestAnalyze:
 
         monkeypatch.setattr(zsflow.cli, "build_graph", built)
         monkeypatch.setattr(zsflow.prefgraph, "_condense", counted)
-        argv = ["analyze", str(games_dir / "diamond.json")]
+        game = GOLDEN / "tie_heavy.json" if stem == "tie_heavy" else games_dir / f"{stem}.json"
+        argv = ["analyze", str(game)]
         if dot:
-            argv += ["--dot", str(tmp_path / "diamond.dot")]
+            argv += ["--dot", str(tmp_path / f"{stem}.dot")]
         code, _, _ = run_cli(capsys, *argv)
         assert code == 0 and len(graphs) == 1 and len(condensed) == 1
-        # pg.arc_count builds no arcs; only the DOT file reads them.
+        # pg.arc_count and the condensation, symmetric or not, build no arcs;
+        # only the DOT file reads them.
         assert ("arcs" in vars(graphs[0])) == dot
 
     @pytest.mark.parametrize("stem", ["diamond", "rock_paper_scissors", "tie_heavy"])
@@ -299,6 +303,23 @@ class TestSimulate:
         assert 0.0 < manifest["result"]["final_sink_mass"] <= 1.0
         header = csv.read_text().splitlines()[0]
         assert header == "t,p1:a,p1:b,p1:c,p2:a,p2:b,p2:c,x_H,payoff,dist_content"
+
+    def test_sink_mass_within_one(self, capsys, tmp_path):
+        # On this seeded 30x30 game the on-sink and off-sink mass sums each
+        # land a few ulps past 1; reported as shares of their sum they cannot.
+        game, csv = tmp_path / "g30.json", tmp_path / "g30.csv"
+        matrix = np.random.default_rng(30).integers(-9, 10, (30, 30)).tolist()
+        game.write_text(json.dumps({"mode": "non-symmetric", "matrix": matrix}))
+        code, out, _ = run_cli(
+            capsys, "simulate", str(game), "--start", "random", "--horizon", "200",
+            "--format", "json", "--csv", str(csv), "--out-dir", str(tmp_path),
+        )
+        assert code == 0
+        assert 0.0 <= json.loads(out)["result"]["final_sink_mass"] <= 1.0
+        lines = csv.read_text().splitlines()
+        column = lines[0].split(",").index("x_H")
+        x_H = np.array([float(line.split(",")[column]) for line in lines[1:]])
+        assert len(x_H) == 20001 and (x_H >= 0.0).all() and (x_H <= 1.0).all()
 
     def test_default_output_path(self, capsys, games_dir, tmp_path):
         code, out, _ = run_cli(

@@ -31,6 +31,7 @@ from zsflow.sampling import game_corpus, random_game, random_interior_stack, ran
 
 from dynamics_oracle import dense_sink_rates, direct_flow, log_rk4_flow, mwu_step
 from face_sampling import random_face_profile
+from graph_oracle import sized_corpus
 
 
 def field(g, z):
@@ -295,6 +296,24 @@ class TestLyapunov:
         with pytest.raises(ValueError):
             lyapunov_rates(diamond, frozenset({(1, 1), (2, 2)}), [z])
 
+    @pytest.mark.parametrize("case", ["diamond", "rps"])
+    def test_accepts_only_the_sink(self, request, case):
+        # The node set is compared with the graph's sink mask: order and
+        # repeats do not matter, and any other set, or a foreign profile
+        # next to the sink, is refused.
+        g = request.getfixturevalue(case)
+        sink = sink_component(build_graph(g))
+        z = uniform_profile(g)
+        for accepted in (sink, sorted(sink) * 2, iter(sink)):
+            assert lyapunov_rates(g, accepted, [z]).shape == (1,)
+        others = [set(), set(sorted(sink)[1:]), set(g.profiles())]
+        for H in [h for h in others if h != sink]:
+            with pytest.raises(ValueError, match="certified sink component"):
+                lyapunov_rates(g, H, [z])
+        foreign = (3, 3) if case == "diamond" else 3
+        with pytest.raises(ValueError, match="is not a profile of this game"):
+            lyapunov_rates(g, [*sink, foreign], [z])
+
     def test_batch_certifies_once(self, diamond, monkeypatch):
         H = sink_component(build_graph(diamond))
         rng = np.random.default_rng(5)
@@ -346,7 +365,7 @@ class TestLyapunov:
         # Random masks, not only sinks: the factoring is an identity of the
         # cut sum, on interior points and on faces alike.
         rng = np.random.default_rng(61)
-        for g in game_corpus(rng, 300, 8, 8, 8):
+        for g in sized_corpus(rng, 300, 8, 8, 8):
             size = g.n if g.symmetric else g.n * g.m
             inside = rng.random(size) < rng.uniform(0.0, 1.0)
             boundary = [random_face_profile(rng, g) for _ in range(10)]

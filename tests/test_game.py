@@ -30,7 +30,7 @@ from zsflow.cli import _parse_start
 from zsflow.dynamics import _profile_masses, _stack
 from zsflow.sampling import game_corpus
 
-from graph_oracle import IncomparableProfilesError, comparable, weight
+from graph_oracle import IncomparableProfilesError, comparable, sized_corpus, weight
 from symmetrise_oracle import identity_corpus
 
 
@@ -365,6 +365,12 @@ class TestLayout:
         }
         with pytest.raises(ValueError, match="is not a profile of this game"):
             calls[use]()
+
+    def test_sized_corpus_at_the_default_sizes_is_game_corpus(self):
+        # The tests draw their larger fuzz corpora from the same stream.
+        a, b = np.random.default_rng(14), np.random.default_rng(14)
+        assert sized_corpus(a, 60, 5, 5, 7) == game_corpus(b, 60)
+        assert a.random() == b.random()
 
     def test_masks_starts_and_csv_follow_the_layout(self, tmp_path):
         rng = np.random.default_rng(13)

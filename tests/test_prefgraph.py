@@ -1,5 +1,6 @@
 """Preference graph structure, condensation and sink certification."""
 
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from graph_oracle import (
     oracle_dot,
     oracle_scc,
     profile_arcs,
+    sized_corpus,
     weight,
 )
 
@@ -296,7 +298,7 @@ class TestSinkClosures:
     the condensation."""
 
     CORPORA = {
-        "generic": lambda: game_corpus(np.random.default_rng(50), 400, 8, 8, 12),
+        "generic": lambda: sized_corpus(np.random.default_rng(50), 400, 8, 8, 12),
         "tie_heavy": lambda: tie_heavy_games(51, 400),
         "symmetric": lambda: [random_game(np.random.default_rng(n), True, n) for n in range(2, 60)],
         "object_dtype": huge_games,
@@ -323,6 +325,56 @@ class TestSinkClosures:
         sink = sink_component(pg)
         monkeypatch.setattr(zsflow.prefgraph, "_closures", None)
         assert sink_component(pg) == sink
+
+
+class TestSinkMask:
+    """Game.profiles(mask) inverts node_mask, and sink_component lists the
+    cached sink mask's profiles without building the graph's nodes."""
+
+    @staticmethod
+    def python_ints(profiles) -> bool:
+        return all(type(v) is int for p in profiles for v in (p if type(p) is tuple else (p,)))
+
+    def test_profiles_invert_node_mask(self, mp, rps):
+        rng = np.random.default_rng(54)
+        for g in oracle_corpus(55, 80) + huge_games() + [mp, rps]:
+            everything = g.profiles()
+            size = len(everything)
+            masks = [np.zeros(size, dtype=bool), np.ones(size, dtype=bool)]
+            masks += [rng.random(size) < rng.uniform(0.0, 1.0) for _ in range(6)]
+            for mask in masks:
+                picked = g.profiles(mask)
+                assert picked == list(itertools.compress(everything, mask.tolist()))
+                assert np.array_equal(g.node_mask(picked), mask) and self.python_ints(picked)
+
+    def test_profiles_without_a_mask_unchanged(self):
+        for g in oracle_corpus(56, 80) + huge_games():
+            pairs = list(itertools.product(range(g.n), range(g.m)))
+            assert g.profiles() == (list(range(g.n)) if g.symmetric else pairs)
+
+    def test_mask_of_another_size_rejected(self, mp, rps):
+        for g, size in ((mp, 3), (mp, 2), (rps, 9)):
+            with pytest.raises(ValueError, match="mask does not match"):
+                g.profiles(np.ones(size, dtype=bool))
+
+    CORPORA = {
+        "oracle": lambda: oracle_corpus(57, 160),
+        "tie_heavy": lambda: tie_heavy_games(58, 120),
+        "lines": lambda: [
+            random_game(np.random.default_rng(n), False, *shape)
+            for n in range(1, 9)
+            for shape in ((1, n), (n, 1))
+        ],
+        "planted": lambda: planted_games(59, 20, 40),
+    }
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_sink_component_lists_the_mask(self, corpus):
+        for g in self.CORPORA[corpus]():
+            pg = build_graph(g)
+            sink = sink_component(pg)
+            assert "nodes" not in vars(pg) and self.python_ints(sink)
+            assert sink == frozenset(itertools.compress(pg.nodes, pg._sink.tolist()))
 
 
 class TestStrongConnectivity:
