@@ -101,7 +101,8 @@ def _operator(g: Game) -> _Operator:
     if g.symmetric:
         K, starts = M, [0]
     else:
-        K = np.block([[np.zeros((g.n, g.n)), M], [-M.T, np.zeros((g.m, g.m))]])
+        K = np.zeros((g.n + g.m, g.n + g.m))
+        K[: g.n, g.n :], K[g.n :, : g.n] = M, -M.T
         starts = [0, g.n]
     block = np.repeat(np.arange(len(starts)), np.diff(starts + [K.shape[0]]))
     J = (block[:, None] == block).astype(float)
@@ -206,7 +207,7 @@ def integrate_batch(
     full = _flow(op, _stack(starts), cfg)  # (samples, B, n+m)
     times = np.arange(cfg.steps + 1) * cfg.step
     # x M y over the first and last blocks; both are x for a symmetric game.
-    payoff = np.einsum("tbi,ij,tbj->tb", full[..., : g.n], g.float_view, full[..., -g.m :])
+    payoff = ((full[..., : g.n] @ g.float_view) * full[..., -g.m :]).sum(axis=-1)
     mass, dist = (None, None) if inside is None else _mass_shares(g, full, inside)
 
     return [

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .game import Game, MixedProfile, make_game, mixed
+from .game import Game, MixedProfile, mixed
 
 
 def random_game(
@@ -20,20 +20,23 @@ def random_game(
     Symmetric games are sampled as K - K^T for a random integer K, which is
     anti-symmetric by construction.
     """
+    ints = rng.integers(low, high + 1, size=(n, n if symmetric or m is None else m))
     if symmetric:
-        K = rng.integers(low, high + 1, size=(n, n))
-        return make_game((K - K.T).tolist(), "symmetric")
-    entries = rng.integers(low, high + 1, size=(n, n if m is None else m))
-    return make_game(entries.tolist(), "non-symmetric")
+        ints = ints - ints.T
+    rows = [f"s{i}" for i in range(n)]  # make_game's default labels
+    cols = rows if symmetric else [f"t{j}" for j in range(ints.shape[1])]
+    return Game(ints, 1, symmetric, rows, cols)
 
 
 def random_interior_stack(rng: np.random.Generator, g: Game, count: int) -> np.ndarray:
     """count interior points, one Dirichlet(1) draw per player block each, as
-    a (count, n+m) stack (n for a symmetric game)."""
-    ones = [np.ones(len(b)) for b in g.blocks]
-    return np.array(
-        [np.concatenate([rng.dirichlet(v) for v in ones]) for _ in range(count)]
-    ).reshape(count, sum(v.size for v in ones))
+    a (count, n+m) stack (n for a symmetric game): one standard_gamma(1) draw,
+    each block scaled by the reciprocal of its left-to-right sum, which is bit
+    for bit numpy's dirichlet of ones, point by point (tests/face_sampling.py)."""
+    Z = rng.standard_gamma(1.0, (count, sum(map(len, g.blocks))))
+    for b in np.split(Z, np.cumsum([len(b) for b in g.blocks])[:-1], axis=1):
+        b *= 1.0 / b.cumsum(axis=1)[:, -1:]  # cumsum keeps dirichlet's summation order
+    return Z
 
 
 def random_mixed_profile(rng: np.random.Generator, g: Game) -> MixedProfile:

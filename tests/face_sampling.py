@@ -1,5 +1,6 @@
 """Random mixed profiles on the faces of the simplex, for tests that need
-starts outside the interior."""
+starts outside the interior, and the per-draw Dirichlet reference for
+zsflow.sampling.random_interior_stack."""
 
 import numpy as np
 
@@ -21,3 +22,13 @@ def _face_point(rng: np.random.Generator, size: int) -> np.ndarray:
 def random_face_profile(rng: np.random.Generator, g):
     """One face point per player block of g."""
     return mixed(*(_face_point(rng, len(b)) for b in g.blocks))
+
+
+def dirichlet_stack(rng: np.random.Generator, g, count: int) -> np.ndarray:
+    """count interior points as a (count, n+m) stack, one rng.dirichlet(ones)
+    call per player block of each point: the draw that
+    random_interior_stack must equal bit for bit, generator state included."""
+    ones = [np.ones(len(b)) for b in g.blocks]
+    return np.array(
+        [np.concatenate([rng.dirichlet(v) for v in ones]) for _ in range(count)]
+    ).reshape(count, sum(v.size for v in ones))

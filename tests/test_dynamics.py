@@ -253,6 +253,29 @@ class TestIntegration:
                 assert np.all(states[:, v0 == 0] == 0.0)
             assert np.abs(tr.mass - single.mass).max() < 1e-12
 
+    @pytest.mark.parametrize("symmetric", [False, True])
+    def test_payoff_matches_einsum(self, symmetric):
+        # The payoff series x M y comes from matrix products; the einsum sums
+        # in another order, so the two agree to rounding, not bit for bit.
+        rng = np.random.default_rng(21)
+        cfg = IntegratorConfig(step=0.01, horizon=5.0)
+        for n in (2, 7, 30):
+            g = random_game(rng, symmetric, n, int(rng.integers(2, 31)))
+            starts = [random_mixed_profile(rng, g) for _ in range(3)]
+            for tr in integrate_batch(g, starts, cfg):
+                x, y = tr.states[0], tr.states[-1]
+                want = np.einsum("ti,ij,tj->t", x, g.float_view, y)
+                assert np.abs(tr.payoff - want).max() <= 1e-12 * np.abs(g.float_view).max()
+
+    def test_operator_bits(self):
+        # The two-player skew operator [[0, M], [-M^T, 0]] as np.block builds
+        # it, down to the sign of every zero (-M^T turns M's zeros into -0.0).
+        g = random_game(np.random.default_rng(5), False, 6, 4, -2, 2)
+        M = g.float_view
+        K = np.block([[np.zeros((g.n, g.n)), M], [-M.T, np.zeros((g.m, g.m))]])
+        KT = _operator(g).KT
+        assert KT.shape == K.T.shape and np.array_equal(KT.view(np.int64), K.T.view(np.int64))
+
 
 class TestPerBlockReference:
     """The flow's matrix-product stages against the same RK4 written with

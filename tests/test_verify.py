@@ -14,6 +14,7 @@ from zsflow import (
     check_embedding,
     integrate_batch,
     lyapunov_rates,
+    make_game,
     mixed,
     random_game,
     random_mixed_profile,
@@ -28,6 +29,8 @@ from zsflow.verify import (
     verify_nash,
     verify_symmetrisation,
 )
+
+from face_sampling import dirichlet_stack
 
 
 def sink_mass(z, H) -> float:
@@ -74,6 +77,64 @@ class TestStackedDraws:
         assert np.array_equal(Z, np.array(expected))
         assert a.random() == b.random()  # the generators stop at the same place
         assert random_interior_stack(a, g, 0).shape == (0, Z.shape[1])
+
+    # One block is a symmetric game of that many strategies, two an n x m game.
+    @pytest.mark.parametrize(
+        "layout",
+        [(1,), (3,), (2, 5), (7,), (8,), (12, 9), (30, 30), (9, 16), (60,)],
+        ids=lambda layout: "x".join(map(str, layout)),
+    )
+    def test_matches_the_dirichlet_oracle(self, layout):
+        # Each block is scaled by the reciprocal of its left-to-right sum, as
+        # rng.dirichlet does; a pairwise sum differs by an ulp from 8 strategies.
+        g = random_game(np.random.default_rng(0), len(layout) == 1, *layout)
+        for seed in range(60):
+            for count in (0, 1, 11, 50):
+                a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+                Z, expected = random_interior_stack(a, g, count), dirichlet_stack(b, g, count)
+                assert Z.shape == expected.shape == (count, sum(layout))
+                assert np.array_equal(Z, expected), (seed, count)
+                assert a.bit_generator.state == b.bit_generator.state
+
+
+class TestReportsUnderTheOracleDraw:
+    """The verify goldens leave out the margins, so a drift of the sampled
+    stream shows here: every report, margins included, equals the one drawn
+    through the per-draw oracle."""
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    @pytest.mark.parametrize(
+        "run, margins",
+        [
+            (lambda s: verify_lyapunov(30, s), ("min_rate", "max_fd_gap")),
+            (lambda s: verify_embedding(40, s), ("max_residual",)),
+        ],
+        ids=["lyapunov", "embedding"],
+    )
+    def test_equal_reports(self, run, margins, seed, monkeypatch):
+        report = run(seed)
+        assert report["passed"] and all(report["detail"][k] is not None for k in margins)
+        monkeypatch.setattr(zsflow.verify, "random_interior_stack", dirichlet_stack)
+        assert run(seed) == report
+
+
+class TestRandomGame:
+    @pytest.mark.parametrize(
+        "symmetric, n, m",
+        [(False, 4, 5), (False, 4, None), (False, 1, 1), (True, 6, None), (True, 1, 3)],
+    )
+    def test_equals_make_game_of_the_same_draw(self, symmetric, n, m):
+        for seed in range(50):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            g = random_game(a, symmetric, n, m)
+            ints = b.integers(-9, 10, size=(n, n if symmetric or m is None else m))
+            ints = ints - ints.T if symmetric else ints
+            ref = make_game(ints.tolist(), "symmetric" if symmetric else "non-symmetric")
+            assert g == ref
+            assert (g.row_labels, g.col_labels) == (ref.row_labels, ref.col_labels)
+            assert g.int_view.dtype == ref.int_view.dtype == np.int64
+            assert np.array_equal(g.float_view, ref.float_view)
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestLyapunov:
