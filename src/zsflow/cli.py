@@ -166,7 +166,7 @@ def _analyze(args) -> int:
     if args.dot:
         path = args.dot
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(to_dot(pg, highlight=sink))
+            fh.write(to_dot(pg))
         outputs.append(path)
     passed = nash_check.passed
     manifest = {
@@ -211,8 +211,7 @@ def _simulate(args) -> int:
     stem = os.path.splitext(os.path.basename(args.game))[0]
     csv_path = args.csv or os.path.join(args.out_dir, f"{stem}_trajectory.csv")
     _check_parents(csv_path, args.svg)
-    sink = sink_component(build_graph(g))
-    tr = integrate(g, z0, cfg, H=sink)
+    tr = integrate(g, z0, cfg)
     write_trajectory_csv(tr, g, csv_path)
     outputs = [csv_path]
     if args.svg:
@@ -340,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except MemoryError as exc:
-        # e.g. a horizon whose samples cannot be held in memory
+        # an allocation that fails, where no size cap refused the input first
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except SinkUniquenessError as exc:

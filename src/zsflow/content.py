@@ -1,8 +1,8 @@
 """Content of a node set: mixed profiles whose product support lies inside it.
 
 A content is reported as its maximal product subgames.  The mass a state puts
-on the node set, and so its distance to the content, is recorded along
-trajectories: integrate with H carries both series.
+on the sink, and so its distance to the attractor (the sink's content), is
+recorded along every trajectory that integrate returns.
 """
 
 from __future__ import annotations

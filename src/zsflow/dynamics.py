@@ -25,13 +25,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .game import Game, MixedProfile, Profile, _check_shape
+from .game import Game, MixedProfile, _check_shape
 from .prefgraph import build_graph
 from .symmetrise import sym_float_matrix
+
+MAX_SAMPLE_VALUES = 2**27  # (steps + 1) x starts x (n+m) per integration: 1 GiB of float64
+MONOTONE_SLACK = 1e-8  # the largest dip mass_monotone tolerates
+MONOTONE_SATURATION = 1e-12  # mass_monotone ignores samples after the mass passes 1 - this
+SVG_TITLE = "sink mass"
 
 
 class IntegrationError(RuntimeError):
@@ -72,15 +77,15 @@ class Trajectory:
     """Sampled solution of the replicator flow.
 
     states holds one (samples, strategies) array per player; row k is the
-    state at times[k].  mass and dist, the shares of the mass on and off a
-    node set H, are present when H was supplied to the integrator.
+    state at times[k].  mass and dist are the shares of the mass on and off
+    the sink component of the game's preference graph (x_H and dist_content).
     """
 
     times: np.ndarray
     states: tuple[np.ndarray, ...]
     payoff: np.ndarray
-    mass: np.ndarray | None = None
-    dist: np.ndarray | None = None
+    mass: np.ndarray
+    dist: np.ndarray
 
     def __len__(self) -> int:
         return int(self.times.size)
@@ -175,66 +180,60 @@ def _flow(op: _Operator, Z0: np.ndarray, cfg: IntegratorConfig) -> np.ndarray:
     return out
 
 
-def integrate(
-    g: Game, z0: MixedProfile, cfg: IntegratorConfig, H: Iterable[Profile] | None = None
-) -> Trajectory:
+def integrate(g: Game, z0: MixedProfile, cfg: IntegratorConfig) -> Trajectory:
     """Integrate the replicator flow from z0 for cfg.horizon.
 
-    Returns ceil(horizon/step) + 1 uniformly spaced samples.  When H is given,
-    the trajectory carries the sink mass x_H and distance-to-content series.
+    Returns ceil(horizon/step) + 1 uniformly spaced samples.
     """
-    return integrate_batch(g, [z0], cfg, H)[0]
+    return integrate_batch(g, [z0], cfg)[0]
 
 
 def integrate_batch(
-    g: Game,
-    starts: Sequence[MixedProfile],
-    cfg: IntegratorConfig,
-    H: Iterable[Profile] | None = None,
+    g: Game, starts: Sequence[MixedProfile], cfg: IntegratorConfig
 ) -> list[Trajectory]:
     """Integrate several starts at once as one (B, n+m) state.
 
     Starts may have different supports: a coordinate that starts at zero is
-    log 0 = -inf and stays exactly zero.
+    log 0 = -inf and stays exactly zero.  A run of more than MAX_SAMPLE_VALUES
+    sampled values is refused before any work.
     """
     if not starts:
         raise ValueError("integrate_batch requires at least one start")
     for z in starts:
         _check_shape(g, z)
-    inside = None if H is None else g.node_mask(H)
+    size = (cfg.steps + 1) * len(starts) * (g.n + g.m)
+    if size > MAX_SAMPLE_VALUES:
+        raise ValueError(f"trajectory of {size} sampled values is over the cap {MAX_SAMPLE_VALUES}")
+    inside = build_graph(g)._sink
 
     op = _operator(g)
     full = _flow(op, _stack(starts), cfg)  # (samples, B, n+m)
     times = np.arange(cfg.steps + 1) * cfg.step
     # x M y over the first and last blocks; both are x for a symmetric game.
     payoff = ((full[..., : g.n] @ g.float_view) * full[..., -g.m :]).sum(axis=-1)
-    mass, dist = (None, None) if inside is None else _mass_shares(g, full, inside)
+    mass, dist = _mass_shares(g, full, inside)
 
     return [
         Trajectory(
             times=times.copy(),
             states=tuple(np.split(full[:, b, :], op.starts[1:], axis=1)),
             payoff=payoff[:, b],
-            mass=None if mass is None else mass[:, b],
-            dist=None if dist is None else dist[:, b],
+            mass=mass[:, b],
+            dist=dist[:, b],
         )
         for b in range(len(starts))
     ]
 
 
-def lyapunov_rates(g: Game, H: Iterable[Profile], zs: Sequence[MixedProfile]) -> np.ndarray:
-    """Instantaneous growth rates of the mass on H along the flow at each z in zs.
+def lyapunov_rates(g: Game, zs: Sequence[MixedProfile]) -> np.ndarray:
+    """Instantaneous growth rates of the sink mass x_H along the flow at each z in zs.
 
-    H must be the certified sink component of g's preference graph; it is
-    certified once for all points.  Each rate is the weighted cut sum between
-    H and its complement under the product masses of z, in O(nm) per point.
+    Each rate is the weighted cut sum between the sink and its complement
+    under the product masses of z, in O(nm) per point.
     """
     for z in zs:
         _check_shape(g, z)
-    inside = g.node_mask(H)
-    if not np.array_equal(inside, build_graph(g)._sink):
-        raise ValueError("lyapunov_rates requires the certified sink component of the game")
-    return _sink_rates(g, inside, _stack(zs)) if len(zs) else np.zeros(0)
+    return _sink_rates(g, build_graph(g)._sink, _stack(zs)) if len(zs) else np.zeros(0)
 
 
 def _sink_rates(g: Game, inside: np.ndarray, Z: np.ndarray) -> np.ndarray:
@@ -287,18 +286,18 @@ def _embedding_residuals(g: Game, Z: np.ndarray) -> np.ndarray:
     return np.abs(via_product_rule - X * (X @ sym_float_matrix(g).T))
 
 
-def mass_monotone(mass: np.ndarray, slack: float = 1e-8, saturation: float = 1e-12) -> bool:
-    """Whether a sink-mass series is nondecreasing up to slack.
+def mass_monotone(mass: np.ndarray) -> bool:
+    """Whether a sink-mass series is nondecreasing up to MONOTONE_SLACK.
 
-    Once the mass exceeds 1 - saturation the trajectory counts as converged
-    and later samples are not compared.
+    Once the mass exceeds 1 - MONOTONE_SATURATION the trajectory counts as
+    converged and later samples are not compared.
     """
     m = np.asarray(mass, dtype=float)
-    crossed = np.nonzero(m > 1.0 - saturation)[0]
+    crossed = np.nonzero(m > 1.0 - MONOTONE_SATURATION)[0]
     end = int(crossed[0]) + 1 if crossed.size else m.size
     if end < 2:
         return True
-    return bool(np.all(np.diff(m[:end]) >= -slack))
+    return bool(np.all(np.diff(m[:end]) >= -MONOTONE_SLACK))
 
 
 def write_trajectory_csv(tr: Trajectory, g: Game, path: str) -> None:
@@ -306,21 +305,16 @@ def write_trajectory_csv(tr: Trajectory, g: Game, path: str) -> None:
     prefixes = ("",) if g.symmetric else ("p1:", "p2:")
     labels = [pre + s for pre, block in zip(prefixes, g.blocks) for s in block]
     header = ["t"] + labels + ["x_H", "payoff", "dist_content"]
-    series = [tr.times, *tr.states, tr.mass, tr.payoff, tr.dist]
-    # One template per row, each value as %.17g; a missing series is a blank cell.
-    width = [0 if s is None else 1 if s.ndim == 1 else s.shape[1] for s in series]
-    row = ",".join(",".join(["%.17g"] * k) for k in width) + "\n"
-    table = np.column_stack([s for s in series if s is not None]).astype(float)
+    table = np.column_stack([tr.times, *tr.states, tr.mass, tr.payoff, tr.dist]).astype(float)
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"  # one template per row
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for k in range(0, len(table), 4096):  # a block at a time, to bound memory
             fh.writelines(row % tuple(r) for r in table[k : k + 4096].tolist())
 
 
-def write_trajectory_svg(tr: Trajectory, path: str, title: str = "sink mass") -> None:
+def write_trajectory_svg(tr: Trajectory, path: str) -> None:
     """Minimal polyline chart of x_H and dist_content against time."""
-    if tr.mass is None:
-        raise ValueError("trajectory has no sink-mass series to plot")
     width, height = 640, 360
     left, right, top, bottom = 50.0, 620.0, 20.0, 330.0
     tmax = float(tr.times[-1]) if float(tr.times[-1]) > 0 else 1.0
@@ -343,7 +337,7 @@ def write_trajectory_svg(tr: Trajectory, path: str, title: str = "sink mass") ->
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<line x1="{left}" y1="{bottom}" x2="{right}" y2="{bottom}" stroke="black"/>',
         f'<line x1="{left}" y1="{top}" x2="{left}" y2="{bottom}" stroke="black"/>',
-        f'<text x="{left}" y="{top - 5}" font-size="12">{title}</text>',
+        f'<text x="{left}" y="{top - 5}" font-size="12">{SVG_TITLE}</text>',
         f'<text x="{right - 60}" y="{bottom + 15}" font-size="11">t = {tmax:g}</text>',
         f'<text x="{left - 35}" y="{top + 10}" font-size="11">1.0</text>',
         f'<text x="{left - 35}" y="{bottom}" font-size="11">0.0</text>',

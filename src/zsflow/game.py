@@ -21,7 +21,6 @@ import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from typing import Iterable, Sequence, Union
 
@@ -154,12 +153,6 @@ class Game:
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-    @cached_property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """The payoffs as rows of Fractions, built on first read."""
-        scale = self.int_scale
-        return tuple(tuple(Fraction(v, scale) for v in row) for row in self.int_view.tolist())
 
     @property
     def n(self) -> int:
@@ -294,9 +287,10 @@ def load_game(path: str) -> Game:
 
 def game_to_dict(g: Game) -> dict:
     """The JSON game format: integer payoffs as ints, the rest as 'a/b' strings."""
+    s, rows = g.int_scale, g.int_view.tolist()
     return {
         "mode": g.mode,
-        "matrix": [[int(v) if v.denominator == 1 else str(v) for v in row] for row in g.matrix],
+        "matrix": [[v // s if v % s == 0 else str(Fraction(v, s)) for v in row] for row in rows],
         "row_labels": list(g.row_labels),
         "col_labels": list(g.col_labels),
     }

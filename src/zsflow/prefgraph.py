@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -271,13 +270,12 @@ def _quote(name: str) -> str:
     return '"' + name.translate({ord("\\"): "\\\\", ord('"'): '\\"'}) + '"'
 
 
-def to_dot(pg: PreferenceGraph, highlight: Iterable[Profile] = ()) -> str:
-    """Deterministic DOT rendering; highlighted nodes are shaded."""
-    marked = frozenset(highlight)
+def to_dot(pg: PreferenceGraph) -> str:
+    """Deterministic DOT rendering; the sink component's nodes are shaded."""
     names = [_quote(pg.game.profile_name(v)) for v in pg.nodes]
     shade = " [style=filled, fillcolor=lightgrey]"
     lines = ["digraph preference_graph {"]
-    lines += [f"  {name}{shade if v in marked else ''};" for v, name in zip(pg.nodes, names)]
+    lines += [f"  {name}{shade if s else ''};" for name, s in zip(names, pg._sink.tolist())]
     scale = pg.game.int_scale
     labels = {w: _quote(str(Fraction(w, scale))) for w in set(pg.arcs["weight"].tolist())}
     lines += [f"  {names[s]} -> {names[d]} [label={labels[w]}];" for s, d, w in pg.arcs.tolist()]

@@ -29,6 +29,7 @@ EMBEDDING_TOL = 1e-10
 LYAPUNOV_FD_TOL = 1e-5
 LYAPUNOV_FD_DT = 1e-4
 NASH_TOL = 1e-9
+PROPER_SINK_TRIES = 400  # interior points drawn per game in the lyapunov scope, at most
 
 SCOPES = ("graph", "symmetrisation", "embedding", "lyapunov", "nash")
 
@@ -130,15 +131,15 @@ def _checked_through(bad: np.ndarray) -> int:
     return int(hits[0]) + 1 if hits.size else bad.size
 
 
-def _proper_sink_points(rng, g: Game, inside: np.ndarray, points: int, max_tries: int = 400):
+def _proper_sink_points(rng, g: Game, inside: np.ndarray, points: int):
     """Stacked interior points whose mass on the profiles of the mask inside
-    lies in (0.05, 0.95).  Tries are drawn in rounds of at most the number of
-    points still wanted, so the generator stops where drawing one point at a
-    time would."""
+    lies in (0.05, 0.95), from at most PROPER_SINK_TRIES draws.  Tries are
+    drawn in rounds of at most the number of points still wanted, so the
+    generator stops where drawing one point at a time would."""
     picked = [random_interior_stack(rng, g, 0)]
     tries = 0
-    while (need := points - sum(map(len, picked))) > 0 and tries < max_tries:
-        Z = random_interior_stack(rng, g, min(need, max_tries - tries))
+    while (need := points - sum(map(len, picked))) > 0 and tries < PROPER_SINK_TRIES:
+        Z = random_interior_stack(rng, g, min(need, PROPER_SINK_TRIES - tries))
         tries += len(Z)
         mass = _profile_masses(g, Z)[:, inside].sum(axis=1)
         picked.append(Z[(0.05 < mass) & (mass < 0.95)])

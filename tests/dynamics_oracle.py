@@ -23,15 +23,20 @@ run on them.
 displacement per unit eta tends to the replicator field.  ``dense_sink_rates``
 is the cut sum through the explicit (nm) x (nm) symmetrised matrix, the form
 that ``zsflow.dynamics._sink_rates`` factors into row and column sums.
+
+``set_shares`` measures a state's mass on any node set H the way a
+trajectory's ``mass`` and ``dist`` series measure it on the sink.
 """
 
 from __future__ import annotations
 
+from typing import Iterable
+
 import numpy as np
 
 from zsflow import Game, IntegrationError, IntegratorConfig, MixedProfile
-from zsflow.dynamics import _field, _operator, _Operator, _profile_masses, _stack
-from zsflow.game import _check_shape
+from zsflow.dynamics import _field, _mass_shares, _operator, _Operator, _profile_masses, _stack
+from zsflow.game import Profile, _check_shape
 from zsflow.symmetrise import sym_float_matrix
 
 
@@ -112,3 +117,10 @@ def dense_sink_rates(g: Game, inside: np.ndarray, Z: np.ndarray) -> np.ndarray:
     X = _profile_masses(g, Z)
     S = g.float_view if g.symmetric else sym_float_matrix(g)
     return ((X[:, inside] @ S[np.ix_(inside, ~inside)]) * X[:, ~inside]).sum(axis=1)
+
+
+def set_shares(g: Game, z: MixedProfile, H: Iterable[Profile]) -> tuple[float, float]:
+    """The shares of z's product mass on and off the profiles in H."""
+    _check_shape(g, z)
+    on, off = _mass_shares(g, _stack([z]), g.node_mask(H))
+    return float(on[0]), float(off[0])

@@ -34,6 +34,12 @@ def profile_arcs(pg: PreferenceGraph) -> tuple[Arc, ...]:
     return tuple(Arc(nodes[s], nodes[d], Fraction(w, scale)) for s, d, w in pg.arcs.tolist())
 
 
+def fraction_rows(g: Game) -> tuple[tuple[Fraction, ...], ...]:
+    """The game's payoffs as rows of Fractions."""
+    scale = g.int_scale
+    return tuple(tuple(Fraction(v, scale) for v in row) for row in g.int_view.tolist())
+
+
 class IncomparableProfilesError(ValueError):
     """A payoff difference was requested for an incomparable profile pair."""
 
@@ -254,3 +260,43 @@ def oracle_corpus(seed: int, count: int) -> list[Game]:
                 make_game([[Fraction(int(a), int(b)) for a, b in zip(*r)] for r in zip(num, den)])
             )
     return games
+
+
+def planted_games(seed: int, count: int, largest: int = 100) -> list[Game]:
+    """Games of either mode whose sink lies inside a random planted node set.
+
+    A non-symmetric game plants a block R x C: outside rows pay less than any
+    entry in the block columns, and outside columns more than any entry in the
+    block rows, so no arc leaves the block.  A symmetric game plants a
+    strategy set S whose members beat every other strategy.  Payoffs are tie
+    heavy, so the sink is often a proper part of the planted set.
+    """
+    rng = np.random.default_rng(seed)
+    games = []
+    for k in range(count):
+        n, m = (int(v) for v in rng.integers(2, largest + 1, size=2))
+        if k % 2:
+            K = rng.integers(-3, 4, size=(n, n))
+            M = np.triu(K, 1) - np.triu(K, 1).T
+            S = rng.random(n) < rng.uniform(0.1, 0.6)
+            S[rng.integers(n)] = True
+            M[np.ix_(S, ~S)] = rng.integers(1, 4, size=(S.sum(), n - S.sum()))
+            M[np.ix_(~S, S)] = -M[np.ix_(S, ~S)].T
+            games.append(make_game(M.tolist(), "symmetric"))
+        else:
+            M = rng.integers(-3, 4, size=(n, m))
+            R, C = rng.random(n) < rng.uniform(0.1, 0.6), rng.random(m) < rng.uniform(0.1, 0.6)
+            R[rng.integers(n)] = C[rng.integers(m)] = True
+            M[np.ix_(~R, C)] = -10 - rng.integers(0, 3, size=(n - R.sum(), C.sum()))
+            M[np.ix_(R, ~C)] = 10 + rng.integers(0, 3, size=(R.sum(), m - C.sum()))
+            games.append(make_game(M.tolist()))
+    return games
+
+
+def tie_heavy_games(seed: int, count: int) -> list[Game]:
+    """Games of either mode, 2-8 strategies a side, with payoffs in [-2, 2]."""
+    rng = np.random.default_rng(seed)
+    return [
+        random_game(rng, bool(k % 2), *(int(v) for v in rng.integers(2, 9, size=2)), -2, 2)
+        for k in range(count)
+    ]

@@ -16,14 +16,15 @@ import numpy as np
 from zsflow import Game, make_game, random_game
 from zsflow.game import Profile
 
-from graph_oracle import weight
+from graph_oracle import fraction_rows, weight
 
 
 def oracle_symmetrise(g: Game) -> tuple[tuple[Fraction, ...], ...]:
     """S[p][q] = M[p1][q2] - M[q1][p2] over row-major profiles, one Fraction each."""
     order = [(i, j) for i in range(g.n) for j in range(g.m)]
+    M = fraction_rows(g)
     return tuple(
-        tuple(g.matrix[p1][q2] - g.matrix[q1][p2] for (q1, q2) in order)
+        tuple(M[p1][q2] - M[q1][p2] for (q1, q2) in order)
         for (p1, p2) in order
     )
 

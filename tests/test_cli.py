@@ -5,6 +5,7 @@ import json
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -450,16 +451,33 @@ class TestSimulate:
             assert code == 2, horizon
             assert "error:" in err
 
-    def test_unrepresentable_horizon_exits_2(self, capsys, games_dir, tmp_path):
-        # 10**14 samples of 6 floats (4.3 PiB): the allocator refuses the
-        # sample array at once, before any step is taken.
-        code, _, err = run_cli(
-            capsys, "simulate", str(games_dir / "diamond.json"), "--horizon", "1e12",
-            "--out-dir", str(tmp_path),
-        )
-        assert code == 2
-        assert err.startswith("error: out of memory") and err.count("\n") == 1
-        assert not list(tmp_path.iterdir())
+    def test_unrepresentable_horizon_exits_2(self, capsys, games_dir, tmp_path, monkeypatch):
+        # 10**14 samples of 6 floats (4.3 PiB), and 10**10 + 1 samples of 4
+        # floats (298 GiB): the sample cap refuses both before the flow
+        # allocates or steps anything.
+        def refuse(*args):
+            raise AssertionError("the flow ran")
+
+        monkeypatch.setattr(zsflow.dynamics, "_flow", refuse)
+        row = tmp_path / "row.json"
+        row.write_text(json.dumps({"mode": "non-symmetric", "matrix": [[1, -1, 0]]}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        runs = [
+            ((str(games_dir / "diamond.json"), "--horizon", "1e12"), 600000000000006),
+            ((str(row), "--step", "1e-300", "--horizon", "1e-290"), 40000000004),
+        ]
+        for argv, size in runs:
+            tracemalloc.start()
+            try:
+                code, out, err = run_cli(capsys, "simulate", *argv, "--out-dir", str(out_dir))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 2 and out == ""
+            assert err == f"error: trajectory of {size} sampled values is over the cap 134217728\n"
+            assert peak < 2**20
+            assert not list(out_dir.iterdir())
 
     def test_overflowing_step_count_exits_2(self, capsys, games_dir, tmp_path):
         # horizon / step is inf: rejected by the config, before any allocation.
@@ -658,9 +676,29 @@ def test_sink_paths_never_condense(capsys, games_dir, tmp_path, monkeypatch, ste
     g = load_game(game)
     sink = sink_component(build_graph(g))
     assert content_of(sink, g).subgames
-    assert lyapunov_rates(g, sink, [uniform_profile(g)]).shape == (1,)
+    assert lyapunov_rates(g, [uniform_profile(g)]).shape == (1,)
     assert run_cli(capsys, "simulate", game, "--horizon", "1", "--out-dir", str(tmp_path))[0] == 0
     assert run_cli(capsys, "verify", "--scope", "graph", "--count", "40", "--seed", "5")[0] == 0
+
+
+@pytest.mark.parametrize("stem", ["diamond", "rock_paper_scissors"])
+def test_simulate_reads_the_sink_mask(capsys, games_dir, tmp_path, monkeypatch, stem):
+    # The mass series come from the graph's cached sink mask: simulate builds
+    # no profile set of the sink and masks none.
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate went through profile sets")
+
+    monkeypatch.setattr(zsflow.cli, "sink_component", refuse)
+    monkeypatch.setattr(zsflow.prefgraph, "sink_component", refuse)
+    monkeypatch.setattr(Game, "profiles", refuse)
+    monkeypatch.setattr(Game, "node_mask", refuse)
+    game = str(games_dir / f"{stem}.json")
+    for start in ("uniform", "random"):
+        code, _, _ = run_cli(
+            capsys, "simulate", game, "--start", start, "--horizon", "1",
+            "--svg", str(tmp_path / "run.svg"), "--out-dir", str(tmp_path),
+        )
+        assert code == 0
 
 
 def test_builds_the_parser_once(capsys, games_dir):

@@ -17,13 +17,9 @@ from zsflow import (
     uniform_profile,
 )
 
+from dynamics_oracle import set_shares
 from face_sampling import random_face_profile
 from graph_oracle import oracle_corpus, oracle_maximal_subgames
-
-
-def first(g, z, H):
-    """Zero-horizon trajectory from z with its mass and distance series on H."""
-    return integrate(g, z, IntegratorConfig(horizon=0.0), H=H)
 
 
 def in_product(z, H) -> bool:
@@ -55,23 +51,23 @@ def brute_force_bicliques(H, n, m):
 class TestMass:
     def test_full_sink_mass_is_one(self, mp):
         H = sink_component(build_graph(mp))
-        assert first(mp, uniform_profile(mp), H).mass[0] == pytest.approx(1.0, abs=1e-12)
+        assert set_shares(mp, uniform_profile(mp), H)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_pure_point_outside(self, diamond):
         H = sink_component(build_graph(diamond))
-        assert first(diamond, mixed([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]), H).mass[0] == 0.0
+        assert set_shares(diamond, mixed([1.0, 0.0, 0.0], [1.0, 0.0, 0.0]), H)[0] == 0.0
 
     def test_partial_mass(self, mp):
         z = mixed([0.5, 0.5], [1.0, 0.0])
-        assert first(mp, z, {(0, 0)}).mass[0] == pytest.approx(0.5)
+        assert set_shares(mp, z, {(0, 0)})[0] == pytest.approx(0.5)
 
     def test_distance_complements_mass(self, mp):
         z = mixed([0.5, 0.5], [0.5, 0.5])
-        assert first(mp, z, {(0, 0)}).dist[0] == pytest.approx(0.75)
+        assert set_shares(mp, z, {(0, 0)})[1] == pytest.approx(0.75)
 
     def test_symmetric_mass_is_coordinate_sum(self, rps):
         z = mixed([0.2, 0.5, 0.3])
-        assert first(rps, z, {0, 2}).mass[0] == pytest.approx(0.5)
+        assert set_shares(rps, z, {0, 2})[0] == pytest.approx(0.5)
 
 
 class TestMembership:
@@ -79,15 +75,15 @@ class TestMembership:
         H = sink_component(build_graph(diamond))
         z = mixed([0.0, 0.5, 0.5], [0.0, 0.5, 0.5])
         assert in_product(z, H)
-        assert first(diamond, z, H).mass[0] == pytest.approx(1.0, abs=1e-12)
+        assert set_shares(diamond, z, H)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_interior_point_outside_proper_set(self, diamond):
         H = sink_component(build_graph(diamond))
-        assert first(diamond, uniform_profile(diamond), H).dist[0] > 0.0
+        assert set_shares(diamond, uniform_profile(diamond), H)[1] > 0.0
 
     def test_pure_point_inside(self, diamond):
         H = sink_component(build_graph(diamond))
-        assert first(diamond, mixed([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]), H).dist[0] == 0.0
+        assert set_shares(diamond, mixed([0.0, 1.0, 0.0], [0.0, 0.0, 1.0]), H)[1] == 0.0
 
     def test_membership_iff_unit_mass(self):
         # Exact-zero starts: the product support lies in H exactly when the
@@ -102,7 +98,7 @@ class TestMembership:
             chosen = rng.choice(len(profiles), size=k, replace=False)
             H = {profiles[i] for i in chosen}
             z = random_face_profile(rng, g)
-            assert in_product(z, H) == (abs(first(g, z, H).mass[0] - 1.0) <= 1e-12)
+            assert in_product(z, H) == (abs(set_shares(g, z, H)[0] - 1.0) <= 1e-12)
 
 
 class TestMaximalSubgames:
@@ -162,7 +158,7 @@ class TestContentInvariance:
         # Start inside the content of the sink; the trajectory must stay there.
         H = sink_component(build_graph(diamond))
         z0 = mixed([0.0, 0.7, 0.3], [0.0, 0.2, 0.8])
-        tr = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=50.0), H=H)
+        tr = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=50.0))
         assert float(np.max(tr.dist)) <= 1e-9
 
     def test_content_object(self, diamond):
@@ -171,4 +167,4 @@ class TestContentInvariance:
         assert c.profiles == H
         assert len(c.subgames) == 2
         z = mixed([0.0, 0.5, 0.5], [0.0, 0.5, 0.5])
-        assert first(diamond, z, c.profiles).mass[0] == pytest.approx(1.0, abs=1e-12)
+        assert set_shares(diamond, z, c.profiles)[0] == pytest.approx(1.0, abs=1e-12)

@@ -26,12 +26,20 @@ from zsflow import (
     write_trajectory_csv,
     write_trajectory_svg,
 )
-from zsflow.dynamics import _field, _flow, _operator, _sink_rates, _stack
+from zsflow.dynamics import (
+    SVG_TITLE,
+    _field,
+    _flow,
+    _mass_shares,
+    _operator,
+    _sink_rates,
+    _stack,
+)
 from zsflow.sampling import game_corpus, random_game, random_interior_stack, random_mixed_profile
 
 from dynamics_oracle import dense_sink_rates, direct_flow, log_rk4_flow, mwu_step
 from face_sampling import random_face_profile
-from graph_oracle import sized_corpus
+from graph_oracle import planted_games, sized_corpus, tie_heavy_games
 
 
 def field(g, z):
@@ -129,10 +137,9 @@ class TestIntegration:
 
     def test_zero_horizon_gives_single_sample(self, mp):
         z = mixed([0.9, 0.1], [0.2, 0.8])
-        H = sink_component(build_graph(mp))
-        tr = integrate(mp, z, IntegratorConfig(step=0.01, horizon=0.0), H=H)
+        tr = integrate(mp, z, IntegratorConfig(step=0.01, horizon=0.0))
         assert len(tr) == 1 and tr.times[0] == 0.0
-        assert tr.mass is not None and tr.mass.shape == (1,)
+        assert tr.mass.shape == tr.dist.shape == (1,)
 
     def test_interior_fixed_point_stays(self, rps):
         tr = integrate(rps, uniform_profile(rps), IntegratorConfig(step=0.01, horizon=5.0))
@@ -199,20 +206,16 @@ class TestIntegration:
     def test_mass_and_distance_series(self, diamond):
         H = sink_component(build_graph(diamond))
         z0 = mixed([0.2, 0.5, 0.3], [0.4, 0.3, 0.3])
-        tr = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=1.0), H=H)
-        assert tr.mass is not None and tr.dist is not None
+        tr = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=1.0))
         masses = np.outer(*z0.vectors).ravel()
         expected0 = sum(masses[i] for i, p in enumerate(diamond.profiles()) if p in H)
         assert abs(tr.mass[0] - expected0) < 1e-12
         assert np.abs(tr.mass + tr.dist - 1.0).max() < 1e-12
-        tr2 = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=1.0))
-        assert tr2.mass is None and tr2.dist is None
 
     def test_distance_is_never_negative(self, diamond):
         # The README quickstart run: it converges, so 1 - mass would round
         # below 0, while the mass off the sink is a sum of non-negative terms.
-        H = sink_component(build_graph(diamond))
-        tr = integrate(diamond, uniform_profile(diamond), IntegratorConfig(horizon=200.0), H=H)
+        tr = integrate(diamond, uniform_profile(diamond), IntegratorConfig(horizon=200.0))
         assert tr.dist.min() >= 0.0
         assert np.abs(tr.mass + tr.dist - 1.0).max() < 1e-12
 
@@ -225,10 +228,9 @@ class TestIntegration:
 
     def test_batch_matches_single_run(self, mp):
         z = mixed([0.9, 0.1], [0.2, 0.8])
-        H = sink_component(build_graph(mp))
         cfg = IntegratorConfig(step=0.01, horizon=3.0)
-        batch = integrate_batch(mp, [z, z], cfg, H=H)
-        single = integrate(mp, z, cfg, H=H)
+        batch = integrate_batch(mp, [z, z], cfg)
+        single = integrate(mp, z, cfg)
         for k in range(2):
             assert np.array_equal(batch[k].states[0], single.states[0])
             assert np.array_equal(batch[k].states[1], single.states[1])
@@ -243,11 +245,10 @@ class TestIntegration:
             mixed([0.6, 0.0, 0.4], [0.0, 0.7, 0.3]),
             mixed([1.0, 0.0, 0.0], [0.2, 0.0, 0.8]),
         ]
-        H = sink_component(build_graph(diamond))
         cfg = IntegratorConfig(step=0.01, horizon=5.0)
-        batch = integrate_batch(diamond, starts, cfg, H=H)
+        batch = integrate_batch(diamond, starts, cfg)
         for z, tr in zip(starts, batch):
-            single = integrate(diamond, z, cfg, H=H)
+            single = integrate(diamond, z, cfg)
             for states, one, v0 in zip(tr.states, single.states, z.vectors):
                 assert np.abs(states - one).max() < 1e-12
                 assert np.all(states[:, v0 == 0] == 0.0)
@@ -304,41 +305,15 @@ class TestPerBlockReference:
 
 class TestLyapunov:
     def test_rate_positive_inside_diamond_basin(self, diamond):
-        H = sink_component(build_graph(diamond))
         z = mixed([0.5, 0.3, 0.2], [0.6, 0.2, 0.2])
-        assert lyapunov_rates(diamond, H, [z])[0] > 0.0
+        assert lyapunov_rates(diamond, [z])[0] > 0.0
 
     def test_rate_vanishes_on_full_sink(self, mp):
-        H = sink_component(build_graph(mp))
-        assert H == frozenset(mp.profiles())
+        assert sink_component(build_graph(mp)) == frozenset(mp.profiles())
         z = mixed([0.9, 0.1], [0.2, 0.8])
-        assert lyapunov_rates(mp, H, [z])[0] == 0.0
-
-    def test_rejects_non_sink_set(self, diamond):
-        z = mixed([0.5, 0.3, 0.2], [0.6, 0.2, 0.2])
-        with pytest.raises(ValueError):
-            lyapunov_rates(diamond, frozenset({(1, 1), (2, 2)}), [z])
-
-    @pytest.mark.parametrize("case", ["diamond", "rps"])
-    def test_accepts_only_the_sink(self, request, case):
-        # The node set is compared with the graph's sink mask: order and
-        # repeats do not matter, and any other set, or a foreign profile
-        # next to the sink, is refused.
-        g = request.getfixturevalue(case)
-        sink = sink_component(build_graph(g))
-        z = uniform_profile(g)
-        for accepted in (sink, sorted(sink) * 2, iter(sink)):
-            assert lyapunov_rates(g, accepted, [z]).shape == (1,)
-        others = [set(), set(sorted(sink)[1:]), set(g.profiles())]
-        for H in [h for h in others if h != sink]:
-            with pytest.raises(ValueError, match="certified sink component"):
-                lyapunov_rates(g, H, [z])
-        foreign = (3, 3) if case == "diamond" else 3
-        with pytest.raises(ValueError, match="is not a profile of this game"):
-            lyapunov_rates(g, [*sink, foreign], [z])
+        assert lyapunov_rates(mp, [z])[0] == 0.0
 
     def test_batch_certifies_once(self, diamond, monkeypatch):
-        H = sink_component(build_graph(diamond))
         rng = np.random.default_rng(5)
         zs = [random_mixed_profile(rng, diamond) for _ in range(20)]
         calls = []
@@ -348,24 +323,21 @@ class TestLyapunov:
             return build_graph(g)
 
         monkeypatch.setattr(zsflow.dynamics, "build_graph", counted)
-        rates = lyapunov_rates(diamond, H, zs)
+        rates = lyapunov_rates(diamond, zs)
         assert len(calls) == 1 and rates.shape == (20,)
         for z, rate in zip(zs, rates):
-            assert rate == pytest.approx(lyapunov_rates(diamond, H, [z])[0], rel=1e-12, abs=1e-15)
-        with pytest.raises(ValueError):
-            lyapunov_rates(diamond, frozenset({(1, 1), (2, 2)}), zs)
-        assert lyapunov_rates(diamond, H, []).shape == (0,)
+            assert rate == pytest.approx(lyapunov_rates(diamond, [z])[0], rel=1e-12, abs=1e-15)
+        assert lyapunov_rates(diamond, []).shape == (0,)
 
     def test_matches_finite_difference(self, diamond):
         # d/dt x_H from a tiny integration step must agree with the closed
         # form cut rate.
-        H = sink_component(build_graph(diamond))
         z = mixed([0.5, 0.3, 0.2], [0.6, 0.2, 0.2])
-        rate = lyapunov_rates(diamond, H, [z])[0]
+        rate = lyapunov_rates(diamond, [z])[0]
         cfg = IntegratorConfig(step=1e-4, horizon=2e-4)
-        tr = integrate(diamond, z, cfg, H=H)
+        tr = integrate(diamond, z, cfg)
         fd = (tr.mass[2] - tr.mass[0]) / 2e-4
-        mid = lyapunov_rates(diamond, H, [mixed(*(s[1] for s in tr.states))])[0]
+        mid = lyapunov_rates(diamond, [mixed(*(s[1] for s in tr.states))])[0]
         assert abs(fd - mid) < 1e-5
         assert abs(rate - mid) < 1e-3
 
@@ -375,14 +347,13 @@ class TestLyapunov:
             [[0, -1, -1, -1], [1, 0, -1, 1], [1, 1, 0, -1], [1, -1, 1, 0]],
             "symmetric",
         )
-        H = sink_component(build_graph(g))
-        assert H == frozenset({1, 2, 3})
+        assert sink_component(build_graph(g)) == frozenset({1, 2, 3})
         z = mixed([0.4, 0.2, 0.2, 0.2])
-        rate = lyapunov_rates(g, H, [z])[0]
+        rate = lyapunov_rates(g, [z])[0]
         assert rate > 0.0
-        tr = integrate(g, z, IntegratorConfig(step=1e-4, horizon=2e-4), H=H)
+        tr = integrate(g, z, IntegratorConfig(step=1e-4, horizon=2e-4))
         fd = (tr.mass[2] - tr.mass[0]) / 2e-4
-        assert abs(fd - lyapunov_rates(g, H, [mixed(tr.states[0][1])])[0]) < 1e-5
+        assert abs(fd - lyapunov_rates(g, [mixed(tr.states[0][1])])[0]) < 1e-5
 
     def test_factored_rate_matches_dense_oracle(self):
         # Random masks, not only sinks: the factoring is an identity of the
@@ -403,17 +374,45 @@ class TestLyapunov:
         M = rng.integers(-9, 10, size=(100, 100))
         M[0, 0], M[1:, 0], M[0, 1:] = 0, -10, 10
         g = make_game(M.tolist())
-        sink = sink_component(build_graph(g))
-        assert sink == {(0, 0)}
+        assert sink_component(build_graph(g)) == {(0, 0)}
         zs = [random_mixed_profile(rng, g) for _ in range(50)]
         tracemalloc.start()
         try:
-            rates = lyapunov_rates(g, sink, zs)
+            rates = lyapunov_rates(g, zs)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rates.shape == (50,) and np.all(rates > 0)
         assert peak < 16 * 2**20
+
+
+class TestSinkFromTheGame:
+    """integrate_batch and lyapunov_rates read the graph's cached sink mask:
+    bit for bit what the mask of sink_component's profile set gives."""
+
+    CORPORA = {
+        "seeded": lambda: sized_corpus(np.random.default_rng(70), 40, 6, 6, 8),
+        "planted": lambda: planted_games(71, 12, 12),
+        "tie_heavy": lambda: tie_heavy_games(72, 40),
+    }
+
+    @pytest.mark.parametrize("corpus", CORPORA)
+    def test_equal_to_the_profile_set_mask(self, corpus):
+        rng = np.random.default_rng(73)
+        cfg = IntegratorConfig(step=0.05, horizon=1.0)
+        proper = 0
+        for g in self.CORPORA[corpus]():
+            inside = g.node_mask(sink_component(build_graph(g)))
+            proper += not inside.all()
+            starts = [random_mixed_profile(rng, g) for _ in range(3)]
+            starts.append(random_face_profile(rng, g))
+            Z0 = _stack(starts)
+            mass, dist = _mass_shares(g, _flow(_operator(g), Z0, cfg), inside)
+            for b, tr in enumerate(integrate_batch(g, starts, cfg)):
+                assert tr.mass.tobytes() == mass[:, b].tobytes()
+                assert tr.dist.tobytes() == dist[:, b].tobytes()
+            assert lyapunov_rates(g, starts).tobytes() == _sink_rates(g, inside, Z0).tobytes()
+        assert proper > 0
 
 
 class TestEmbedding:
@@ -491,7 +490,7 @@ class TestSeriesHelpers:
     def test_mass_monotone(self):
         assert mass_monotone(np.array([0.2, 0.5, 0.9, 1.0]))
         assert not mass_monotone(np.array([0.2, 0.5, 0.4, 1.0]))
-        # 1e-9 dips sit inside the default slack.
+        # 1e-9 dips sit inside MONOTONE_SLACK.
         assert mass_monotone(np.array([0.2, 0.5, 0.5 - 1e-9, 1.0]))
         # Once the series saturates at 1, later rounding wiggle is ignored.
         sat = np.array([0.2, 0.9, 1.0 - 1e-13, 1.0 - 5e-13, 1.0])
@@ -510,33 +509,34 @@ def oracle_trajectory_csv(tr: Trajectory, g) -> str:
         cells = [f"{float(tr.times[k]):.17g}"]
         for s in tr.states:
             cells.extend(f"{float(v):.17g}" for v in s[k])
-        cells.append("" if tr.mass is None else f"{float(tr.mass[k]):.17g}")
+        cells.append(f"{float(tr.mass[k]):.17g}")
         cells.append(f"{float(tr.payoff[k]):.17g}")
-        cells.append("" if tr.dist is None else f"{float(tr.dist[k]):.17g}")
+        cells.append(f"{float(tr.dist[k]):.17g}")
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
 
 
 class TestWriters:
     @pytest.mark.parametrize("symmetric", [False, True])
-    @pytest.mark.parametrize("with_sink", [False, True])
-    def test_csv_matches_per_cell_oracle(self, symmetric, with_sink, tmp_path):
+    @pytest.mark.parametrize("face", [False, True])
+    def test_csv_matches_per_cell_oracle(self, symmetric, face, tmp_path):
+        # From an interior start, or from a face, whose exact zeros stay zero.
         rng = np.random.default_rng(31)
         for n in (2, 5, 13):
             g = random_game(rng, symmetric, n, None if symmetric else n + 1)
-            z0 = random_mixed_profile(rng, g)
-            H = sink_component(build_graph(g)) if with_sink else None
-            tr = integrate(g, z0, IntegratorConfig(step=0.05, horizon=1.0), H=H)
+            z0 = (random_face_profile if face else random_mixed_profile)(rng, g)
+            tr = integrate(g, z0, IntegratorConfig(step=0.05, horizon=1.0))
             path = tmp_path / f"{n}.csv"
             write_trajectory_csv(tr, g, str(path))
             assert path.read_bytes() == oracle_trajectory_csv(tr, g).encode()
 
-    @pytest.mark.parametrize("with_sink", [False, True])
-    def test_csv_edge_values_match_per_cell_oracle(self, mp, with_sink, tmp_path):
-        # Signed zeros, subnormals and values below 1e-300 print as the oracle does.
+    @pytest.mark.parametrize("low_half", [False, True])
+    def test_csv_edge_values_match_per_cell_oracle(self, mp, low_half, tmp_path):
+        # Signed zeros, subnormals and values below 1e-300 print as the oracle does,
+        # in the state columns and, one half of them per case, in x_H and dist_content.
         edge = np.array([-0.0, 0.0, 1e-301, -3e-310, 5e-324, 1 / 3, 1e300, -2.5])
         half = edge.reshape(4, 2)
-        series = edge[:4] if with_sink else None
+        series = edge[:4] if low_half else edge[4:]
         tr = Trajectory(
             times=np.arange(4.0), states=(half, half[::-1]), payoff=edge[4:],
             mass=series, dist=series,
@@ -547,9 +547,8 @@ class TestWriters:
         assert "-0," in path.read_text() and "1e-301" in path.read_text()
 
     def test_csv_layout(self, mp, tmp_path):
-        H = sink_component(build_graph(mp))
         z0 = mixed([0.9, 0.1], [0.2, 0.8])
-        tr = integrate(mp, z0, IntegratorConfig(step=0.1, horizon=1.0), H=H)
+        tr = integrate(mp, z0, IntegratorConfig(step=0.1, horizon=1.0))
         path = tmp_path / "mp.csv"
         write_trajectory_csv(tr, mp, str(path))
         lines = path.read_text().splitlines()
@@ -564,9 +563,8 @@ class TestWriters:
         write_trajectory_csv(tr, rps, str(path))
         lines = path.read_text().splitlines()
         assert lines[0] == "t,R,P,S,x_H,payoff,dist_content"
-        # No sink was supplied, so the mass and distance columns stay empty.
-        assert lines[1].split(",")[4] == ""
-        assert lines[1].split(",")[6] == ""
+        # The sink of rock-paper-scissors is every strategy.
+        assert [row.split(",")[4::2] for row in lines[1:]] == [["1", "0"]] * len(tr)
 
     def test_csv_deterministic(self, mp, tmp_path):
         tr = integrate(mp, mixed([0.9, 0.1], [0.2, 0.8]), IntegratorConfig(step=0.1, horizon=1.0))
@@ -576,26 +574,19 @@ class TestWriters:
         assert a.read_bytes() == b.read_bytes()
 
     def test_svg_output(self, diamond, tmp_path):
-        H = sink_component(build_graph(diamond))
         z0 = mixed([0.2, 0.5, 0.3], [0.4, 0.3, 0.3])
-        tr = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=20.0), H=H)
+        tr = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=20.0))
         path = tmp_path / "run.svg"
-        write_trajectory_svg(tr, str(path), title="diamond run")
+        write_trajectory_svg(tr, str(path))
         text = path.read_text()
         assert text.startswith("<svg")
         assert text.count("<polyline") == 2
-        assert "diamond run" in text
-
-    def test_svg_requires_mass(self, mp, tmp_path):
-        tr = integrate(mp, uniform_profile(mp), IntegratorConfig(step=0.1, horizon=0.5))
-        with pytest.raises(ValueError):
-            write_trajectory_svg(tr, str(tmp_path / "x.svg"))
+        assert f">{SVG_TITLE}</text>" in text
 
 
 def test_long_run_mass_is_monotone(diamond):
-    H = sink_component(build_graph(diamond))
     z0 = mixed([0.6, 0.2, 0.2], [0.5, 0.25, 0.25])
-    tr = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=200.0), H=H)
+    tr = integrate(diamond, z0, IntegratorConfig(step=0.01, horizon=200.0))
     assert mass_monotone(tr.mass)
     assert 1.0 - tr.mass[-1] < 1e-3
     assert math.isclose(tr.mass[0] + tr.dist[0], 1.0, abs_tol=1e-12)

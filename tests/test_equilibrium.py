@@ -21,7 +21,7 @@ from zsflow.game import SUPPORT_ATOL
 from zsflow.prefgraph import _connectivity
 from zsflow.sampling import game_corpus
 
-from graph_oracle import profile_arcs
+from graph_oracle import fraction_rows, profile_arcs
 from nash_oracle import enumerate_equilibria as oracle_equilibria
 
 
@@ -118,14 +118,14 @@ class TestBatchedEnumeration:
 
     def test_matches_per_pair_oracle(self):
         for g in oracle_corpus(61, 160):
-            assert enumerated(g) == oracle_equilibria(g), g.matrix
+            assert enumerated(g) == oracle_equilibria(g), fraction_rows(g)
 
     def test_fallback_when_batched_solve_raises(self, monkeypatch):
         # With every system reported non-singular the stacked solve meets a
         # singular one and raises; the chunk is then solved one system at a time.
         monkeypatch.setattr(np.linalg, "slogdet", lambda A: (np.ones(len(A)), None))
         for g in oracle_corpus(62, 24):
-            assert enumerated(g) == oracle_equilibria(g), g.matrix
+            assert enumerated(g) == oracle_equilibria(g), fraction_rows(g)
 
     def test_memory_bounded_by_chunk(self):
         # One chunk holds a few stacks of CHUNK_ENTRIES floats; solving all
@@ -161,9 +161,9 @@ class TestSelection:
             else:
                 want = (supports[best], [x, y], (tuple(sorted(rows)), tuple(sorted(cols))))
             vectors = [np.array(v).tobytes() for v in want[1]]
-            assert cert.support == want[0], g.matrix
-            assert [v.tobytes() for v in cert.equilibrium.vectors] == vectors, g.matrix
-            assert cert.essential.subgame == want[2], g.matrix
+            assert cert.support == want[0], fraction_rows(g)
+            assert [v.tobytes() for v in cert.equilibrium.vectors] == vectors, fraction_rows(g)
+            assert cert.essential.subgame == want[2], fraction_rows(g)
 
 
 class TestMinimaxConsistency:

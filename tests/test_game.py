@@ -14,9 +14,9 @@ from zsflow import (
     IntegratorConfig,
     build_graph,
     content_of,
+    game_to_dict,
     game_to_json,
     integrate,
-    lyapunov_rates,
     make_game,
     mixed,
     parse_game,
@@ -30,14 +30,20 @@ from zsflow.cli import _parse_start
 from zsflow.dynamics import _profile_masses, _stack
 from zsflow.sampling import game_corpus
 
-from graph_oracle import IncomparableProfilesError, comparable, sized_corpus, weight
+from dynamics_oracle import set_shares
+from graph_oracle import (
+    IncomparableProfilesError,
+    comparable,
+    fraction_rows,
+    sized_corpus,
+    weight,
+)
 from symmetrise_oracle import identity_corpus
 
 
-def sample(g, z, H=None):
-    """The first sample of a zero-horizon trajectory from z: its payoff
-    x M y and, when H is given, its mass on H."""
-    return integrate(g, z, IntegratorConfig(horizon=0.0), H=H)
+def sample(g, z):
+    """The first sample of a zero-horizon trajectory from z: its payoff x M y."""
+    return integrate(g, z, IntegratorConfig(horizon=0.0))
 
 
 def nonsym_games(max_side=4):
@@ -91,7 +97,7 @@ class TestParsing:
 
     def test_rational_entries(self):
         g = parse_game('{"mode": "non-symmetric", "matrix": [["3/2", "-1/2"]]}')
-        assert g.matrix[0] == (Fraction(3, 2), Fraction(-1, 2))
+        assert fraction_rows(g)[0] == (Fraction(3, 2), Fraction(-1, 2))
 
     def test_exact_integer_view(self):
         g = make_game([["1/2", "-2/3"], [3, "5/6"]])
@@ -119,23 +125,27 @@ class TestParsing:
             make_game([["1/2", 3], [entry, 4]])
 
     def test_fraction_rows_built_on_first_read(self):
+        # A game holds no Fraction rows; the file writer formats its reduced
+        # integer pair the way those rows would print.
         g = make_game([["1/2", 3], [-1, "1/3"]])
-        assert "matrix" not in vars(g)
-        assert g.matrix == ((Fraction(1, 2), 3), (-1, Fraction(1, 3)))
-        assert "matrix" in vars(g)
+        assert not hasattr(g, "matrix")
+        assert fraction_rows(g) == ((Fraction(1, 2), 3), (-1, Fraction(1, 3)))
+        assert game_to_dict(g)["matrix"] == [["1/2", 3], [-1, "1/3"]]
 
     def test_pipeline_builds_no_fraction_rows(self):
         g = random_game(np.random.default_rng(3), False, 4, 5)
         pg = build_graph(g)
         content_of(sink_component(pg), g)
         solve_nash(g, pg)
-        assert "matrix" not in vars(g)
+        assert set(vars(g)) == {
+            "int_view", "int_scale", "symmetric", "row_labels", "col_labels", "float_view"
+        }
 
     def test_float_view_rounds_once(self):
         # Past 2**53 numpy's I / scale rounds the numerator first: 3.843071682022823e+17.
         games = identity_corpus(41, 60) + [make_game([["1152921504606847012/3", 1]])]
         for g in games:
-            expected = np.array([[float(v) for v in row] for row in g.matrix])
+            expected = np.array([[float(v) for v in row] for row in fraction_rows(g)])
             assert g.float_view.tobytes() == expected.tobytes()
         assert games[-1].float_view[0, 0] == 3.843071682022824e17
 
@@ -302,8 +312,8 @@ class TestMixedProfiles:
 
     def test_product_mass(self, mp):
         z = mixed([0.5, 0.5], [1.0, 0.0])
-        assert sample(mp, z, {(0, 0)}).mass[0] == pytest.approx(0.5)
-        assert sample(mp, z, {(0, 1)}).mass[0] == 0.0
+        assert set_shares(mp, z, {(0, 0)})[0] == pytest.approx(0.5)
+        assert set_shares(mp, z, {(0, 1)})[0] == 0.0
 
     def test_profile_masses_row_major(self, mp):
         z = mixed([0.9, 0.1], [0.2, 0.8])
@@ -350,7 +360,7 @@ FOREIGN = {
 class TestLayout:
     """Game owns the profile order, the node mask and the player blocks."""
 
-    @pytest.mark.parametrize("use", ["node_mask", "content_of", "integrate", "lyapunov_rates"])
+    @pytest.mark.parametrize("use", ["node_mask", "content_of"])
     @pytest.mark.parametrize("case", FOREIGN.values(), ids=FOREIGN.keys())
     def test_foreign_profile_rejected_everywhere(self, request, case, use):
         # Next to the whole sink, where a set would merge True into 1 and
@@ -360,8 +370,6 @@ class TestLayout:
         calls = {
             "node_mask": lambda: g.node_mask(H),
             "content_of": lambda: content_of(H, g),
-            "integrate": lambda: sample(g, uniform_profile(g), H),
-            "lyapunov_rates": lambda: lyapunov_rates(g, H, [uniform_profile(g)]),
         }
         with pytest.raises(ValueError, match="is not a profile of this game"):
             calls[use]()
@@ -388,7 +396,8 @@ class TestLayout:
             assert [v.size for v in z.vectors] == sizes
             with pytest.raises(ValueError, match="weight group"):
                 _parse_start(spec + ";1", g, 0)
+            assert set_shares(g, z, profiles) == (1.0, 0.0)
             path = tmp_path / "run.csv"
-            write_trajectory_csv(sample(g, z, profiles), g, str(path))
+            write_trajectory_csv(sample(g, z), g, str(path))
             header = path.read_text().splitlines()[0].split(",")
             assert len(header) == 1 + sum(sizes) + 3

@@ -24,12 +24,15 @@ from zsflow.prefgraph import _chains, _connectivity
 from zsflow.sampling import game_corpus
 
 from graph_oracle import (
+    fraction_rows,
     oracle_arcs,
     oracle_corpus,
     oracle_dot,
     oracle_scc,
+    planted_games,
     profile_arcs,
     sized_corpus,
+    tie_heavy_games,
     weight,
 )
 
@@ -135,7 +138,7 @@ class TestCanonicalGraphs:
         for _ in range(10):
             g = random_game(rng, False, 3, 4)
             scaled = make_game(
-                [[Fraction(7, 3) * v for v in row] for row in g.matrix], "non-symmetric"
+                [[Fraction(7, 3) * v for v in row] for row in fraction_rows(g)], "non-symmetric"
             )
             arcs = {(a.src, a.dst) for a in profile_arcs(build_graph(g))}
             arcs2 = {(a.src, a.dst) for a in profile_arcs(build_graph(scaled))}
@@ -253,46 +256,6 @@ def huge_games() -> list[Game]:
     return [rational, big, big_sym]
 
 
-def planted_games(seed: int, count: int, largest: int = 100) -> list[Game]:
-    """Games of either mode whose sink lies inside a random planted node set.
-
-    A non-symmetric game plants a block R x C: outside rows pay less than any
-    entry in the block columns, and outside columns more than any entry in the
-    block rows, so no arc leaves the block.  A symmetric game plants a
-    strategy set S whose members beat every other strategy.  Payoffs are tie
-    heavy, so the sink is often a proper part of the planted set.
-    """
-    rng = np.random.default_rng(seed)
-    games = []
-    for k in range(count):
-        n, m = (int(v) for v in rng.integers(2, largest + 1, size=2))
-        if k % 2:
-            K = rng.integers(-3, 4, size=(n, n))
-            M = np.triu(K, 1) - np.triu(K, 1).T
-            S = rng.random(n) < rng.uniform(0.1, 0.6)
-            S[rng.integers(n)] = True
-            M[np.ix_(S, ~S)] = rng.integers(1, 4, size=(S.sum(), n - S.sum()))
-            M[np.ix_(~S, S)] = -M[np.ix_(S, ~S)].T
-            games.append(make_game(M.tolist(), "symmetric"))
-        else:
-            M = rng.integers(-3, 4, size=(n, m))
-            R, C = rng.random(n) < rng.uniform(0.1, 0.6), rng.random(m) < rng.uniform(0.1, 0.6)
-            R[rng.integers(n)] = C[rng.integers(m)] = True
-            M[np.ix_(~R, C)] = -10 - rng.integers(0, 3, size=(n - R.sum(), C.sum()))
-            M[np.ix_(R, ~C)] = 10 + rng.integers(0, 3, size=(R.sum(), m - C.sum()))
-            games.append(make_game(M.tolist()))
-    return games
-
-
-def tie_heavy_games(seed: int, count: int) -> list[Game]:
-    """Games of either mode, 2-8 strategies a side, with payoffs in [-2, 2]."""
-    rng = np.random.default_rng(seed)
-    return [
-        random_game(rng, bool(k % 2), *(int(v) for v in rng.integers(2, 9, size=2)), -2, 2)
-        for k in range(count)
-    ]
-
-
 class TestSinkClosures:
     """The sink from forward-backward threshold closures against the sink of
     the condensation."""
@@ -401,7 +364,7 @@ class TestStrongConnectivity:
 class TestDot:
     def test_mp_dot_content(self, mp):
         pg = build_graph(mp)
-        dot = to_dot(pg, highlight=sink_component(pg))
+        dot = to_dot(pg)
         assert dot.startswith("digraph preference_graph {")
         assert '"H,H" [style=filled, fillcolor=lightgrey];' in dot
         assert '"T,H" -> "H,H" [label="2"];' in dot
@@ -419,7 +382,7 @@ class TestDot:
         for g in oracle_corpus(23, 80) + huge_games():
             pg = build_graph(g)
             sink = sink_component(pg)
-            assert to_dot(pg, highlight=sink) == oracle_dot(g, sink)
+            assert to_dot(pg) == oracle_dot(g, sink)
 
 
 def increasing_map(rng, g: Game) -> Game:

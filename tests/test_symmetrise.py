@@ -21,7 +21,7 @@ from zsflow import (
 )
 from zsflow.verify import verify_symmetrisation
 
-from graph_oracle import comparable, weight
+from graph_oracle import comparable, fraction_rows, weight
 from symmetrise_oracle import (
     identity_corpus,
     oracle_symmetrise,
@@ -47,7 +47,7 @@ def small_nonsym(draw):
 
 
 def test_mp_values(mp):
-    S = symmetrise(mp).matrix
+    S = fraction_rows(symmetrise(mp))
     # incomparable diagonal pair (H,H) vs (T,T): M[H][T] - M[T][H] = -1 - (-1)
     assert S[0][3] == 0
     # comparable pair (H,H) vs (H,T) agrees with the weight function
@@ -69,7 +69,7 @@ def test_symmetric_input_rejected(rps):
 @given(small_nonsym())
 @settings(max_examples=40, deadline=None)
 def test_anti_symmetry(g):
-    S = symmetrise(g).matrix
+    S = fraction_rows(symmetrise(g))
     size = len(S)
     for a in range(size):
         for b in range(size):
@@ -79,7 +79,7 @@ def test_anti_symmetry(g):
 @given(small_nonsym())
 @settings(max_examples=25, deadline=None)
 def test_restriction_to_comparable_pairs(g):
-    S = symmetrise(g).matrix
+    S = fraction_rows(symmetrise(g))
     order = g.profiles()
     for a, p in enumerate(order):
         for b, q in enumerate(order):
@@ -122,11 +122,16 @@ def test_as_game_round_trip(mp):
 
 @pytest.mark.parametrize(
     "entries, scale",
-    [([["1/2", "1/2"], ["1/2", "1/2"]], 1), ([["1/2", "3/2"], ["5/2", "-1/4"]], 4)],
+    [
+        ([["1/2", "1/2"], ["1/2", "1/2"]], 1),
+        ([["1/2", "3/2"], ["5/2", "-1/4"]], 4),
+        ([[2**62, "1/3"], ["-5/2", 1]], 6),
+    ],
 )
 def test_as_game_reduced_round_trip(entries, scale):
     # The symmetrised entries of the first base are all 0, which a scale of 2
     # would hold as well; the stored game must be the reduced one the file gives.
+    # The last base's entries pass 2**62, so they are written from Python ints.
     g2 = symmetrise(make_game(entries))
     assert g2.int_scale == scale
     again = parse_game(game_to_json(g2))
@@ -140,7 +145,7 @@ class TestAgainstOracle:
     def test_seeded_corpus(self):
         games = identity_corpus(31, 200)
         for g in games:
-            assert symmetrise(g).matrix == oracle_symmetrise(g)
+            assert fraction_rows(symmetrise(g)) == oracle_symmetrise(g)
             report = check_weight_identity(g)
             assert (report.pairs_checked, report.violations) == oracle_weight_identity(g)
             assert report.ok

@@ -58,9 +58,9 @@ def per_point_lyapunov(count: int, seed: int, points_per_game: int = 50):
                 points.append(z)
         if not points:
             continue
-        runs = integrate_batch(g, points, cfg, H=sink)
-        rates += lyapunov_rates(g, sink, points).tolist()
-        mids = lyapunov_rates(g, sink, [mixed(*(s[1] for s in tr.states)) for tr in runs]).tolist()
+        runs = integrate_batch(g, points, cfg)
+        rates += lyapunov_rates(g, points).tolist()
+        mids = lyapunov_rates(g, [mixed(*(s[1] for s in tr.states)) for tr in runs]).tolist()
         for mid, tr in zip(mids, runs):
             fd = (float(tr.mass[2]) - float(tr.mass[0])) / (2 * LYAPUNOV_FD_DT)
             gaps.append(abs(mid - fd))
